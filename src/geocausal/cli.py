@@ -4,16 +4,10 @@ mediate, simulate, validate, report."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io, pipeline
-from .figures import effect_vs_l_panel, mediation_bars, write_svg
-from .propensity import fit_poisson_intensity
 from .validation import EstimatorConfig, coverage_experiment, default_dgp
 
 
@@ -21,7 +15,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="run configuration JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: GEOCAUSAL_THREADS or 1)")
+                   help="accepted for compatibility; runs are single-threaded")
     p.add_argument("--out", type=Path, default=None, help="override the output dir")
 
 
@@ -44,20 +38,13 @@ def _load(args) -> pipeline.RunConfig:
     return config
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GEOCAUSAL_THREADS")
-    return int(env) if env else 1
-
-
 def _run_estimands(args, estimands: list[str]) -> int:
     config = _load(args)
     config.estimands = estimands
     if getattr(args, "L", None):
         config.L_values = pipeline._parse_L(args.L)
         config.raw["L"] = args.L
-    report = pipeline.run(config, threads=_threads(args))
+    report = pipeline.run(config)
     failures = [k for k, v in report["status"].items() if v != "ok"]
     for k in failures:
         print("estimand %s failed: %s" % (k, report["status"][k]), file=sys.stderr)
@@ -122,14 +109,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         series = pipeline._load_series(config)
-        from .propensity import PropensityOptions
-
-        options = PropensityOptions(
-            time_spline_df=int(config.propensity.get("time_spline_df", 0)),
-            ridge=float(config.propensity.get("ridge", 0.0)),
-        )
-        names = config.propensity.get("covariates") or sorted(series.covariates)
-        fit = fit_poisson_intensity(series, names, options)
+        fit = pipeline._fit_propensity(config, series)
         io.dump_json(io.propensity_model_to_dict(fit), args.model_out)
         print("model written to %s (converged=%s, deviance=%.6g)"
               % (args.model_out, fit.report.converged, fit.report.deviance))
@@ -187,15 +167,7 @@ def main(argv=None) -> int:
         report = io.load_json(args.results)
         out = args.out or args.results.parent
         out.mkdir(parents=True, exist_ok=True)
-        ate = report.get("estimands", {}).get("ate")
-        if ate:
-            rows = [dict(v, L=int(k.split("=")[1])) for k, v in ate.items()
-                    if k.startswith("L=")]
-            rows.sort(key=lambda r: r["L"])
-            write_svg(effect_vs_l_panel(rows), out / "effect_vs_L.svg")
-        mediate = report.get("estimands", {}).get("mediate")
-        if mediate:
-            write_svg(mediation_bars(mediate), out / "mediation.svg")
+        pipeline._render_figures(report, out)
         print("figures written to %s" % out)
         return 0
 

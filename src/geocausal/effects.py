@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import norm
 
 from .errors import OverlapViolationError
@@ -99,33 +100,63 @@ def compute_weights(series: PatternSeries, propensity: FittedPropensity,
     return math.exp(log_w)
 
 
-def compute_weight_series(series: PatternSeries, propensity: FittedPropensity,
-                          iv: TreatmentIntervention, L: int) -> WeightSeries:
-    """Weights for every t in [L, T].
+def intervention_log_densities(series: PatternSeries,
+                               iv: TreatmentIntervention) -> np.ndarray:
+    """Log density of every observed treatment pattern under each raster of
+    the intervention; shape (n_rasters, T), row ``k`` for window offset ``k``."""
+    out = np.empty((len(iv.rasters), series.T))
+    for t in range(1, series.T + 1):
+        pattern = series.treatment(t).base
+        try:
+            for offset in range(out.shape[0]):
+                out[offset, t - 1] = log_intervention_density(iv, pattern, offset=offset)
+        except OverlapViolationError as err:
+            raise OverlapViolationError("period %d: %s" % (t, err)) from err
+    return out
 
-    With a single shared intervention raster the per-period ratios are
-    computed once and summed over each rolling window.
+
+def propensity_log_densities(series: PatternSeries,
+                             propensity: FittedPropensity) -> np.ndarray:
+    """Log density of every observed treatment pattern under the fitted
+    propensity; shape (T,)."""
+    out = np.empty(series.T)
+    for t in range(1, series.T + 1):
+        try:
+            out[t - 1] = propensity.log_density(series, t)
+        except OverlapViolationError as err:
+            raise OverlapViolationError("period %d: %s" % (t, err)) from err
+    return out
+
+
+def window_weights(ratios: np.ndarray, L: int) -> WeightSeries:
+    """Weights for every t in [L, T] from per-period log density ratios.
+
+    ``ratios`` has one row per intervention raster and one column per period;
+    window offset ``o`` reads row ``o % n_rows``.  Each window is summed as
+    one contiguous reduction, so a single row gives the same bits as
+    ``np.sum(ratios[0, t - L:t])``.
     """
-    T = series.T
+    n, T = ratios.shape
     if L < 1 or L > T:
         raise ValueError("need 1 <= L <= T")
-    shared = len(iv.rasters) == 1
-    if shared:
-        ratios = np.array([
-            _period_log_ratio(series, propensity, iv, tt, 0) for tt in range(1, T + 1)
-        ])
-        log_w = np.array([float(np.sum(ratios[t - L:t])) for t in range(L, T + 1)])
+    if n == 1:
+        log_w = sliding_window_view(ratios[0], L).sum(axis=1)
     else:
-        log_w = np.empty(T - L + 1)
-        for i, t in enumerate(range(L, T + 1)):
-            log_w[i] = sum(
-                _period_log_ratio(series, propensity, iv, tt, off)
-                for off, tt in enumerate(range(t - L + 1, t + 1))
-            )
+        offsets = np.arange(L)
+        starts = np.arange(T - L + 1)[:, None]
+        log_w = ratios[offsets % n, starts + offsets].sum(axis=1)
     if not np.all(np.isfinite(log_w)):
         bad = int(np.where(~np.isfinite(log_w))[0][0]) + L
         raise ValueError("non-finite log-weight at t=%d" % bad)
     return WeightSeries(L=L, log_weights=log_w, weights=np.exp(log_w))
+
+
+def compute_weight_series(series: PatternSeries, propensity: FittedPropensity,
+                          iv: TreatmentIntervention, L: int) -> WeightSeries:
+    """Weights for every t in [L, T]; per-period ratios are computed once."""
+    num = intervention_log_densities(series, iv)
+    den = propensity_log_densities(series, propensity)
+    return window_weights(num - den, L)
 
 
 class SmoothedOutcomes:

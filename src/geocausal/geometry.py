@@ -198,9 +198,6 @@ class Raster:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "Raster":
-        return Raster(self.grid, values)
-
 
 @dataclass(frozen=True)
 class Region:

@@ -26,6 +26,9 @@ from .effects import (
     WeightSeries,
     _estimate_from_weights,
     _period_log_ratio,
+    intervention_log_densities,
+    propensity_log_densities,
+    window_weights,
 )
 from .errors import OverlapViolationError
 from .geometry import Region
@@ -286,29 +289,15 @@ def compute_mediation_weight_series(series: PatternSeries,
                                     iv: InterventionPair, L: int,
                                     numerator_model: MediatorScoreModel | None = None
                                     ) -> WeightSeries:
-    """Mediation weights for every t in [L, T] (shared-raster fast path)."""
-    T = series.T
-    shared = len(iv.treatment.rasters) == 1
-    ratios = np.empty(T)
-    for tt in range(1, T + 1):
-        r = _mediator_period_ratio(series, model, iv.mediator, tt,
-                                   numerator_model=numerator_model)
-        if shared:
-            r += _period_log_ratio(series, propensity, iv.treatment, tt, 0)
-        ratios[tt - 1] = r
-    if shared:
-        log_w = np.array([float(np.sum(ratios[t - L:t])) for t in range(L, T + 1)])
-    else:
-        log_w = np.empty(T - L + 1)
-        for i, t in enumerate(range(L, T + 1)):
-            log_w[i] = ratios[t - L:t].sum() + sum(
-                _period_log_ratio(series, propensity, iv.treatment, tt, off)
-                for off, tt in enumerate(range(t - L + 1, t + 1))
-            )
-    if not np.all(np.isfinite(log_w)):
-        bad = int(np.where(~np.isfinite(log_w))[0][0]) + L
-        raise ValueError("non-finite mediation log-weight at t=%d" % bad)
-    return WeightSeries(L=L, log_weights=log_w, weights=np.exp(log_w))
+    """Mediation weights for every t in [L, T]."""
+    med = np.array([
+        _mediator_period_ratio(series, model, iv.mediator, tt,
+                               numerator_model=numerator_model)
+        for tt in range(1, series.T + 1)
+    ])
+    num = intervention_log_densities(series, iv.treatment)
+    den = propensity_log_densities(series, propensity)
+    return window_weights(med + (num - den), L)
 
 
 @dataclass(frozen=True)

@@ -247,18 +247,6 @@ def smoothed_cell_values(pattern: PointPattern, spec: SmoothingSpec,
     )
 
 
-def smoothed_region_integrals(series: PatternSeries, spec: SmoothingSpec,
-                              region: Region) -> np.ndarray:
-    """``integral over B of smooth(Y_t)`` for every period, as a (T,) array."""
-    grid = series.grid
-    mask = region.resolve_mask(grid).ravel()
-    out = np.zeros(series.T)
-    for t in range(1, series.T + 1):
-        cellvals = smoothed_cell_values(series.outcome(t), spec, grid)
-        out[t - 1] = float(np.sum(cellvals[mask]))
-    return out
-
-
 def boundary_event_fraction(series: PatternSeries, spec: SmoothingSpec) -> float:
     """Fraction of outcome events within 3 bandwidths of the window boundary.
 

@@ -8,7 +8,6 @@ from the persisted estimates, never from recomputation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -55,7 +54,7 @@ from .patterns import (
     history_maps,
     smoothed_cell_values,
 )
-from .propensity import PropensityOptions, fit_poisson_intensity
+from .propensity import FittedPropensity, PropensityOptions, fit_poisson_intensity
 
 _VERSION = "0.1.0"
 
@@ -277,18 +276,23 @@ def _resolution_check(config: RunConfig, series: PatternSeries,
     }
 
 
-def _threads() -> int:
-    env = os.environ.get("GEOCAUSAL_THREADS")
-    return int(env) if env else 1
+def _fit_propensity(config: RunConfig, series: PatternSeries) -> FittedPropensity:
+    """Fit the configured treatment intensity model to the series."""
+    prop_cfg = config.propensity
+    cov_names = prop_cfg.get("covariates") or sorted(series.covariates)
+    options = PropensityOptions(
+        time_spline_df=int(prop_cfg.get("time_spline_df", 0)),
+        ridge=float(prop_cfg.get("ridge", 0.0)),
+    )
+    return fit_poisson_intensity(series, cov_names, options)
 
 
-def run(config: RunConfig, threads: int | None = None) -> dict:
+def run(config: RunConfig) -> dict:
     """Execute the configured estimands; returns the report payload.
 
     The report's ``status`` block records per-estimand success; the CLI maps
     any failure to a nonzero exit code.
     """
-    threads = threads or _threads()
     if not config.events_path.exists():
         raise FileNotFoundError("events file not found: %s" % config.events_path)
     series = _load_series(config)
@@ -297,13 +301,7 @@ def run(config: RunConfig, threads: int | None = None) -> dict:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    prop_cfg = config.propensity
-    cov_names = prop_cfg.get("covariates") or sorted(series.covariates)
-    options = PropensityOptions(
-        time_spline_df=int(prop_cfg.get("time_spline_df", 0)),
-        ridge=float(prop_cfg.get("ridge", 0.0)),
-    )
-    fit = fit_poisson_intensity(series, cov_names, options)
+    fit = _fit_propensity(config, series)
     io.dump_json(io.propensity_model_to_dict(fit), out / "model.json")
 
     smoothed = SmoothedOutcomes(series, spec)
@@ -334,7 +332,7 @@ def run(config: RunConfig, threads: int | None = None) -> dict:
         try:
             if estimand == "ate":
                 report["estimands"]["ate"] = _run_ate(
-                    config, series, fit, spec, region, smoothed, threads)
+                    config, series, fit, spec, region, smoothed)
             elif estimand == "cate":
                 report["estimands"]["cate"] = _run_cate(
                     config, series, fit, spec, smoothed)
@@ -352,27 +350,17 @@ def run(config: RunConfig, threads: int | None = None) -> dict:
     return report
 
 
-def _run_ate(config, series, fit, spec, region, smoothed, threads) -> dict:
+def _run_ate(config, series, fit, spec, region, smoothed) -> dict:
     ivs = config.interventions
     if not ("A" in ivs and "B" in ivs):
         raise ValueError("ate needs interventions A and B in the config")
     results = {}
-
-    def one(L: int) -> tuple[str, dict]:
+    for L in config.L_values:
         pairA = build_intervention(ivs["A"], config, series, L)
         pairB = build_intervention(ivs["B"], config, series, L)
         est = estimate_ate(series, fit, pairA, pairB, spec, region, L,
                            smoothed=smoothed, truncation=config.truncation)
-        return "L=%d" % L, est.to_dict()
-
-    if threads > 1 and len(config.L_values) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, val in pool.map(one, config.L_values):
-                results[key] = val
-    else:
-        for L in config.L_values:
-            key, val = one(L)
-            results[key] = val
+        results["L=%d" % L] = est.to_dict()
 
     # Effect surface of the largest L, persisted as .asc.
     L = max(config.L_values)
@@ -462,7 +450,8 @@ def _run_mediation(config, series, fit, spec, region, smoothed) -> dict:
 
 
 def _render_figures(report: dict, out: Path) -> None:
-    ate = report["estimands"].get("ate")
+    estimands = report.get("estimands", {})
+    ate = estimands.get("ate")
     if ate:
         results = [dict(v, L=int(k.split("=")[1])) for k, v in ate.items()
                    if k.startswith("L=")]
@@ -470,7 +459,7 @@ def _render_figures(report: dict, out: Path) -> None:
         if results:
             figures.write_svg(figures.effect_vs_l_panel(results),
                               out / "effect_vs_L.svg")
-    cate = report["estimands"].get("cate")
+    cate = estimands.get("cate")
     if cate:
         curve = cate["curve"]
         evaluation = {
@@ -479,6 +468,6 @@ def _render_figures(report: dict, out: Path) -> None:
             "ci95": np.asarray(curve["ci95"]),
         }
         figures.write_svg(figures.cate_curve_panel(evaluation), out / "cate_curve.svg")
-    mediate = report["estimands"].get("mediate")
+    mediate = estimands.get("mediate")
     if mediate:
         figures.write_svg(figures.mediation_bars(mediate), out / "mediation.svg")

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from .effects import (
     SmoothedOutcomes,
-    WeightSeries,
     Z95,
     _estimate_from_weights,
+    intervention_log_densities,
+    propensity_log_densities,
+    window_weights,
 )
 from .geometry import (
     Raster,
@@ -48,11 +50,10 @@ from .interventions import (
     MediatorIntervention,
     TreatmentIntervention,
     intensified,
-    log_intervention_density,
 )
 from .mediation import estimate_mediation_effects, fit_mediator_score
-from .patterns import PatternSeries, SmoothingSpec
-from .propensity import FittedPropensity, PropensityOptions, fit_poisson_intensity
+from .patterns import SmoothingSpec
+from .propensity import PropensityOptions, fit_poisson_intensity
 from .simulate import (SyntheticDGP, exact_expected_spillover, mc_oracle,
                        oracle_effect, prefix_series, simulate_series)
 
@@ -161,24 +162,6 @@ def true_pixel_effect_map(dgp: SyntheticDGP, ivA: TreatmentIntervention,
     return np.bincount(flat[keep], weights=cellvals[keep], minlength=partition.p)
 
 
-def _log_densities_under(iv: TreatmentIntervention, series: PatternSeries) -> np.ndarray:
-    return np.array([
-        log_intervention_density(iv, series.treatment(t).base)
-        for t in range(1, series.T + 1)
-    ])
-
-
-def _propensity_log_densities(fit: FittedPropensity, series: PatternSeries) -> np.ndarray:
-    return np.array([fit.log_density(series, t) for t in range(1, series.T + 1)])
-
-
-def _rolling_weight_series(num: np.ndarray, den: np.ndarray, L: int) -> WeightSeries:
-    r = num - den
-    T = r.size
-    log_w = np.array([float(np.sum(r[t - L:t])) for t in range(L, T + 1)])
-    return WeightSeries(L=L, log_weights=log_w, weights=np.exp(log_w))
-
-
 def _summary_row(estimand: str, T: int, truth: float, truth_se: float,
                  est_ipw: np.ndarray, est_hajek: np.ndarray,
                  cover_ipw: np.ndarray, cover_hajek: np.ndarray,
@@ -256,15 +239,15 @@ def _ate_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
                "ess_a": [], "ess_b": []} for T in T_grid}
     for r in range(replicates):
         series = simulate_series(dgp, T_max, rep_seeds[r])
-        num_A = _log_densities_under(ivA, series)
-        num_B = _log_densities_under(ivB, series)
+        num_A = intervention_log_densities(series, ivA)
+        num_B = intervention_log_densities(series, ivB)
         for T in T_grid:
             sub = prefix_series(series, T)
             fit = fit_poisson_intensity(sub, dgp.covariates.keys(),
                                         config.propensity_options)
-            den = _propensity_log_densities(fit, sub)
-            wA = _rolling_weight_series(num_A[:T], den, L)
-            wB = _rolling_weight_series(num_B[:T], den, L)
+            den = propensity_log_densities(sub, fit)
+            wA = window_weights(num_A[:, :T] - den, L)
+            wB = window_weights(num_B[:, :T] - den, L)
             smoothed = SmoothedOutcomes(sub, SmoothingSpec(_bandwidth_for(config, T)))
             e = _estimate_from_weights(smoothed, region, wA, wB, L)
             bucket = est[T]
@@ -392,11 +375,9 @@ def _cate_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
         series = simulate_series(dgp, T, rep_seeds[r])
         fit = fit_poisson_intensity(series, dgp.covariates.keys(),
                                     config.propensity_options)
-        num_A = _log_densities_under(ivA, series)
-        num_B = _log_densities_under(ivB, series)
-        den = _propensity_log_densities(fit, series)
-        wA = _rolling_weight_series(num_A, den, L)
-        wB = _rolling_weight_series(num_B, den, L)
+        den = propensity_log_densities(series, fit)
+        wA = window_weights(intervention_log_densities(series, ivA) - den, L)
+        wB = window_weights(intervention_log_densities(series, ivB) - den, L)
         smoothed = SmoothedOutcomes(series, spec)
         proj = estimate_cate(smoothed, partition, wA, wB, panel, "m", basis)
         est, lo, hi = proj.coefficient_interval(1, z=Z95)

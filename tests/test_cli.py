@@ -203,6 +203,19 @@ def test_report_command(tmp_path):
     assert svg.startswith("<svg") and "polyline" not in svg.split("</svg>")[1:] != []
 
 
+def test_report_renders_cate_curve(tmp_path):
+    results = tmp_path / "results.json"
+    dump_json({"estimands": {"cate": {"curve": {
+        "r": [0.0, 0.5, 1.0],
+        "value": [0.1, 0.2, 0.3],
+        "ci90": [[0.0, 0.2], [0.1, 0.3], [0.2, 0.4]],
+        "ci95": [[-0.1, 0.3], [0.0, 0.4], [0.1, 0.5]],
+    }}}}, results)
+    assert main(["report", "--results", str(results),
+                 "--out", str(tmp_path / "figs")]) == 0
+    assert (tmp_path / "figs" / "cate_curve.svg").read_text().startswith("<svg")
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "geocausal.cli", "--help"],
                           capture_output=True, text=True)

@@ -18,6 +18,7 @@ from geocausal.effects import (
     per_period_contrasts,
     variance_bound,
 )
+from geocausal.errors import OverlapViolationError
 from geocausal.geometry import Raster, Region, SpatialWindow, build_grid, integrate_raster, normalize_raster
 from geocausal.interventions import InterventionPair, TreatmentIntervention, intensified
 from geocausal.patterns import (
@@ -98,6 +99,34 @@ def test_weight_log_vs_direct_product(fitted_world):
         for off, tt in enumerate(range(t - L + 1, t + 1)):
             direct *= math.exp(_period_log_ratio(series, fit, iv, tt, off))
         assert ws.weights[t - L] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 9])
+def test_weight_series_raster_list_matches_scalar(fitted_world, L):
+    dgp, series, fit, baseline = fitted_world
+    shape = normalize_raster(fit.intensity(series, 1))
+    iv = TreatmentIntervention(
+        intensity=[Raster(series.grid, 0.3 * baseline.values),
+                   Raster(series.grid, 0.3 * shape.values)],
+        expected_count=0.3)
+    ws = compute_weight_series(series, fit, iv, L)
+    assert len(ws) == series.T - L + 1
+    for t in range(L, series.T + 1):
+        assert ws.weights[t - L] == pytest.approx(
+            compute_weights(series, fit, iv, L, t), rel=1e-12)
+
+
+def test_zero_intervention_at_event_names_period(fitted_world):
+    dgp, series, fit, baseline = fitted_world
+    grid = series.grid
+    t0 = next(t for t in range(1, series.T + 1) if len(series.treatment(t)))
+    row, col = grid.cell_index(series.treatment(t0).base.points[:1])
+    values = baseline.values.copy()
+    values[row[0], col[0]] = 0.0
+    iv = intensified(normalize_raster(Raster(grid, values)), 0.3)
+    with pytest.raises(OverlapViolationError) as exc:
+        compute_weight_series(series, fit, iv, 2)
+    assert str(exc.value).startswith("period %d: " % t0)
 
 
 def test_expected_events_modes(fitted_world):

@@ -197,6 +197,24 @@ def test_mediation_weights_log_vs_direct(med_world):
         assert ws.weights[t - 2] == pytest.approx(w, rel=1e-12)
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 9])
+def test_mediation_weights_raster_list_matches_scalar(med_world, L):
+    dgp, series, fit, score, baseline = med_world
+    from geocausal.interventions import TreatmentIntervention
+
+    shape = normalize_raster(fit.intensity(series, 1))
+    iv = TreatmentIntervention(
+        intensity=[Raster(series.grid, 0.7 * baseline.values),
+                   Raster(series.grid, 0.7 * shape.values)],
+        expected_count=0.7)
+    pair = InterventionPair(treatment=iv, mediator=MediatorIntervention(2.0, "hit"), L=L)
+    ws = compute_mediation_weight_series(series, fit, score, pair, L)
+    assert len(ws) == series.T - L + 1
+    for t in range(L, series.T + 1):
+        assert ws.weights[t - L] == pytest.approx(
+            compute_mediation_weights(series, fit, score, pair, L, t), rel=1e-12)
+
+
 def test_decomposition_exact(med_world):
     dgp, series, fit, score, baseline = med_world
     spec = SmoothingSpec(bandwidth=0.4)
