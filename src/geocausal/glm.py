@@ -11,7 +11,7 @@ that name the collinear columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -46,7 +46,8 @@ class GLMFit:
 
 def _check_rank(X: np.ndarray, w: np.ndarray, columns) -> None:
     Xw = X * np.sqrt(w)[:, None]
-    r, piv = linalg.qr(Xw, mode="r", pivoting=True)
+    # "raw" mode keeps R at k x k instead of a full-height triangular copy.
+    _, r, piv = linalg.qr(Xw, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise RankDeficiencyError(columns)
@@ -108,7 +109,7 @@ def fit_glm(X: np.ndarray, y: np.ndarray, family: str, columns=None,
         )
 
     # Penalize every column that is not constant (the intercept stays free).
-    pen_mask = np.array([np.ptp(X[:, j]) > 0 for j in range(k)], dtype=float)
+    pen_mask = (X.max(axis=0) > X.min(axis=0)).astype(float)
 
     def mu_of(eta):
         if family == "poisson":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlapViolationError
 from .geometry import Raster, RasterGrid, integrate_raster, normalize_raster
 from .patterns import PointPattern
 from .propensity import log_pattern_density

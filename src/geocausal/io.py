@@ -138,7 +138,8 @@ def read_events_csv(path, grid: RasterGrid, T: int | None = None,
                 "%s must have columns t,x,y,stream (optional mark); got %s"
                 % (path, reader.fieldnames)
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 t = int(row["t"])
                 x = float(row["x"])
@@ -203,23 +204,32 @@ def read_moderators_csv(path, partition, factor: int, T: int) -> dict[str, np.nd
     treats as flagged-missing rather than imputing.
     """
     grid = partition.grid
+    labels = partition.labels.tolist()
     out: dict[str, np.ndarray] = {}
+    required = ("pixel_row", "pixel_col", "t", "name", "value")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"pixel_row", "pixel_col", "t", "name", "value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(required) <= set(header):
             raise ValueError(
                 "%s must have columns pixel_row,pixel_col,t,name,value" % path
             )
-        for lineno, row in enumerate(reader, start=2):
+        index = {name: i for i, name in enumerate(header)}  # last wins, as in DictReader
+        cols = [index[c] for c in required]
+        for row in reader:
+            if not row:
+                continue  # blank line
+            lineno = reader.line_num
+            if len(row) <= max(cols):
+                raise ValueError("%s line %d: expected at least %d fields, got %d"
+                                 % (path, lineno, max(cols) + 1, len(row)))
+            pr, pc, t, name, value = (row[i] for i in cols)
             try:
-                pr = int(row["pixel_row"])
-                pc = int(row["pixel_col"])
-                t = int(row["t"])
-                value = float(row["value"]) if row["value"].strip() else math.nan
-            except (TypeError, ValueError) as err:
+                pr, pc, t = int(pr), int(pc), int(t)
+                value = float(value) if value.strip() else math.nan
+            except ValueError as err:
                 raise ValueError("%s line %d: %s" % (path, lineno, err)) from None
-            name = row["name"].strip()
+            name = name.strip()
             if not name:
                 raise ValueError("%s line %d: empty moderator name" % (path, lineno))
             if not (1 <= t <= T):
@@ -231,13 +241,14 @@ def read_moderators_csv(path, partition, factor: int, T: int) -> dict[str, np.nd
                     "%s line %d: pixel (%d, %d) outside the partition"
                     % (path, lineno, pr, pc)
                 )
-            pid = int(partition.labels[cell_r, cell_c])
+            pid = labels[cell_r][cell_c]
             if pid < 0:
                 raise ValueError(
                     "%s line %d: pixel (%d, %d) is masked out" % (path, lineno, pr, pc)
                 )
-            arr = out.setdefault(name, np.full((partition.p, T), np.nan))
-            arr[pid, t - 1] = value
+            if name not in out:
+                out[name] = np.full((partition.p, T), np.nan)
+            out[name][pid, t - 1] = value
     if not out:
         raise ValueError("no moderator rows in %s" % path)
     return out

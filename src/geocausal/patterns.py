@@ -12,7 +12,7 @@ in two dimensions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,6 +132,9 @@ class PatternSeries:
         self.outcomes = list(outcomes)
         self.covariates = dict(covariates or {})
         self.T = len(self.treatments)
+        # (stream, t) -> per-cell distances to that period's events, or None
+        # for an empty period; filled by history_maps.
+        self._distances: dict[tuple[str, int], np.ndarray | None] = {}
         if len(self.outcomes) != self.T:
             raise ValueError("treatments and outcomes must cover the same periods")
         for t, (w, y) in enumerate(zip(self.treatments, self.outcomes), start=1):
@@ -275,6 +278,10 @@ def history_maps(series: PatternSeries, t: int, lags=(1, 7, 30),
     ``[t-l, t-1]``, separately per stream.  No prior events means distance
     infinity, hence a decay value of zero everywhere (stated convention).
     Returns rasters named ``"<stream>_hist_<l>"``; values lie in [0, 1].
+
+    Each period's distance map is computed at most once per series and
+    cached on it; a window's map is the cellwise minimum of its periods'
+    maps, which is bit-identical to the map of the pooled events.
     """
     if t <= 0:
         raise ValueError("period index must be positive")
@@ -285,18 +292,19 @@ def history_maps(series: PatternSeries, t: int, lags=(1, 7, 30),
             % (t, maxlag)
         )
     grid = series.grid
+    cache = series._distances
     out: dict[str, Raster] = {}
     for stream in ("treatment", "outcome"):
-        for lag in lags:
-            lo = max(1, t - lag)
-            pts = []
-            for tt in range(lo, t):
+        for tt in range(max(1, t - maxlag), t):
+            if (stream, tt) not in cache:
                 pat = series.treatment(tt).base if stream == "treatment" else series.outcome(tt)
-                if len(pat):
-                    pts.append(pat.points)
+                cache[stream, tt] = distance_map(grid, pat.points).values if len(pat) else None
+        for lag in lags:
+            maps = [cache[stream, tt] for tt in range(max(1, t - lag), t)]
+            maps = [m for m in maps if m is not None]
             name = "%s_hist_%d" % (stream, lag)
-            if pts:
-                dmap = distance_map(grid, np.vstack(pts))
+            if maps:
+                dmap = DistanceMap(grid, np.minimum.reduce(maps))
                 out[name] = decay_transform(dmap, coef)
             else:
                 out[name] = Raster(grid, np.zeros((grid.ny, grid.nx)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +19,10 @@ import numpy as np
 from . import figures, io
 from .effects import SmoothedOutcomes, compute_weight_series, estimate_ate
 from .geometry import (
-    Raster,
     RasterGrid,
     Region,
     SpatialWindow,
     build_grid,
-    integrate_raster,
     normalize_raster,
 )
 from .heterogeneity import (
@@ -354,20 +352,20 @@ def _run_ate(config, series, fit, spec, region, smoothed) -> dict:
     ivs = config.interventions
     if not ("A" in ivs and "B" in ivs):
         raise ValueError("ate needs interventions A and B in the config")
+    # The interventions do not depend on L: build each once, re-stamp its L.
+    L_max = max(config.L_values)
+    baseA = build_intervention(ivs["A"], config, series, L_max)
+    baseB = build_intervention(ivs["B"], config, series, L_max)
     results = {}
     for L in config.L_values:
-        pairA = build_intervention(ivs["A"], config, series, L)
-        pairB = build_intervention(ivs["B"], config, series, L)
-        est = estimate_ate(series, fit, pairA, pairB, spec, region, L,
-                           smoothed=smoothed, truncation=config.truncation)
+        est = estimate_ate(series, fit, replace(baseA, L=L), replace(baseB, L=L),
+                           spec, region, L, smoothed=smoothed,
+                           truncation=config.truncation)
         results["L=%d" % L] = est.to_dict()
 
     # Effect surface of the largest L, persisted as .asc.
-    L = max(config.L_values)
-    pairA = build_intervention(ivs["A"], config, series, L)
-    pairB = build_intervention(ivs["B"], config, series, L)
-    wA = compute_weight_series(series, fit, pairA.treatment, L)
-    wB = compute_weight_series(series, fit, pairB.treatment, L)
+    wA = compute_weight_series(series, fit, baseA.treatment, L_max)
+    wB = compute_weight_series(series, fit, baseB.treatment, L_max)
     from .effects import effect_surface
 
     surface = effect_surface(series, spec, wA, wB, smoothed=smoothed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OverlapViolationError
 from .geometry import Raster, RasterGrid, integrate_raster
-from .glm import GLMFit, NaturalCubicBasis, fit_glm, natural_cubic_basis
+from .glm import NaturalCubicBasis, fit_glm, natural_cubic_basis
 from .patterns import PatternSeries, PointPattern
 
 
@@ -166,6 +166,7 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
     grid = series.grid
     time_design, time_names, basis = _time_design(series.T, options)
     columns = ["intercept"] + covariate_names + time_names
+    k_cov = 1 + len(covariate_names)
     cellmask = grid.mask.ravel()
 
     static = series.is_static(covariate_names) and time_design.shape[1] == 0
@@ -181,30 +182,27 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
         X, y = Xc[valid], y[valid]
         offset = np.full(X.shape[0], np.log(series.T * grid.cell_area))
     else:
-        rows_X, rows_y, rows_off = [], [], []
-        log_area = np.log(grid.cell_area)
-        for t in range(1, series.T + 1):
-            Xc = np.column_stack(
-                [np.ones(grid.n_cells)]
-                + [series.covariate(n, t).values.ravel() for n in covariate_names]
-            )
-            valid = cellmask & np.isfinite(Xc).all(axis=1)
-            Xt = np.column_stack(
-                [Xc[valid]]
-                + [np.full(int(valid.sum()), time_design[t - 1, j])
-                   for j in range(time_design.shape[1])]
-            ) if time_design.shape[1] else Xc[valid]
-            rows_X.append(Xt)
-            rows_y.append(_cell_counts(grid, series.treatment(t).base)[valid])
-            rows_off.append(np.full(int(valid.sum()), log_area))
-        X = np.vstack(rows_X)
-        y = np.concatenate(rows_y)
-        offset = np.concatenate(rows_off)
+        # One (T, n_cells, k) design in period-major order: rows and values
+        # are the per-period blocks stacked, NODATA cells dropped.
+        T, n = series.T, grid.n_cells
+        design = np.empty((T, n, k_cov + time_design.shape[1]))
+        design[:, :, 0] = 1.0
+        for j, name in enumerate(covariate_names, start=1):
+            design[:, :, j] = [series.covariate(name, t).values.ravel()
+                               for t in range(1, T + 1)]
+        design[:, :, k_cov:] = time_design[:, None, :]
+        valid = cellmask & np.isfinite(design[:, :, :k_cov]).all(axis=2)
+        X = design[valid]
+        bases = [series.treatment(t).base for t in range(1, T + 1)]
+        row, col = grid.cell_index(np.vstack([b.points for b in bases]))
+        period = np.repeat(np.arange(T), [len(b) for b in bases])
+        counts = np.bincount(period * n + row * grid.nx + col, minlength=T * n)
+        y = counts.reshape(T, n)[valid].astype(float)
+        offset = np.full(X.shape[0], np.log(grid.cell_area))
 
     fit = fit_glm(X, y, family="poisson", columns=columns, offset=offset,
                   ridge=options.ridge, tol=options.tol, max_iter=options.max_iter)
 
-    k_cov = 1 + len(covariate_names)
     coef = {"intercept": float(fit.coef[0])}
     coef.update({n: float(c) for n, c in zip(covariate_names, fit.coef[1:k_cov])})
     spline_coef = None

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Raster, RasterGrid, Region, integrate_raster, normalize_raster
+from .geometry import Raster, RasterGrid, Region, integrate_raster
 from .glm import GLMFit
 from .interventions import (
     InterventionPair,
-    MediatorIntervention,
     TreatmentIntervention,
     sample_marks,
     sample_pattern,

@@ -54,8 +54,8 @@ from .interventions import (
 from .mediation import estimate_mediation_effects, fit_mediator_score
 from .patterns import SmoothingSpec
 from .propensity import PropensityOptions, fit_poisson_intensity
-from .simulate import (SyntheticDGP, exact_expected_spillover, mc_oracle,
-                       oracle_effect, prefix_series, simulate_series)
+from .simulate import (SyntheticDGP, exact_expected_spillover, oracle_effect,
+                       prefix_series, simulate_series)
 
 
 def _gaussian_bump(grid: RasterGrid, cx: float, cy: float, sd: float) -> Raster:

@@ -99,6 +99,28 @@ def test_ate_pipeline_deterministic_across_threads(tmp_path):
     assert json.loads(json.dumps(parsed, sort_keys=True)) == parsed
 
 
+
+def test_ate_builds_each_intervention_once(tmp_path, monkeypatch):
+    # the smoothed baselines do not depend on L: one per intervention, not per L
+    import geocausal.patterns as patterns
+
+    calls = []
+    original = patterns.kernel_smooth
+
+    def counting(pattern, spec, grid):
+        calls.append(len(pattern))
+        return original(pattern, spec, grid)
+
+    monkeypatch.setattr(patterns, "kernel_smooth", counting)
+    cfg = make_workspace(tmp_path, extra={"L": "1..3"})
+    assert main(["ate", "--config", str(cfg)]) == 0
+    report = load_json(tmp_path / "out" / "results.json")
+    assert report["status"]["ate"] == "ok"
+    assert set(k for k in report["estimands"]["ate"] if k.startswith("L=")) == {
+        "L=1", "L=2", "L=3"}
+    assert len(calls) == 2
+
+
 def test_identical_interventions_yield_zero(tmp_path):
     cfg = make_workspace(tmp_path, extra={
         "interventions": {

@@ -155,6 +155,37 @@ def test_moderators_csv(tmp_path):
         read_moderators_csv(bad, part, 4, 2)
 
 
+
+def test_csv_errors_name_the_physical_line(tmp_path):
+    # a blank line is skipped, yet the error names the line as it is in the file
+    grid = build_grid(SpatialWindow(bounds=(0, 0, 8, 8)), 8, 8)
+    events = tmp_path / "events.csv"
+    events.write_text("t,x,y,stream\n1,1.0,2.0,outcome\n\n1,oops,2.0,outcome\n")
+    with pytest.raises(ValueError, match="line 4"):
+        read_events_csv(events, grid)
+
+    part = PixelPartition.blocks(grid, 4)
+    mods = tmp_path / "mods.csv"
+    mods.write_text("pixel_row,pixel_col,t,name,value\n0,0,1,mech,1\n\n"
+                    "0,0,1,mech,1\n9,9,1,mech,1\n")
+    with pytest.raises(ValueError, match="line 5"):
+        read_moderators_csv(mods, part, 4, 2)
+
+
+def test_csv_short_rows_raise_value_error(tmp_path):
+    grid = build_grid(SpatialWindow(bounds=(0, 0, 8, 8)), 8, 8)
+    events = tmp_path / "events.csv"
+    events.write_text("t,x,y,stream\n1,1.0,2.0,outcome\n1,1.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_events_csv(events, grid)
+
+    part = PixelPartition.blocks(grid, 4)
+    mods = tmp_path / "mods.csv"
+    mods.write_text("pixel_row,pixel_col,t,name,value\n0,0,1,mech,1\n0,1,1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_moderators_csv(mods, part, 4, 2)
+
+
 def test_propensity_model_json_round_trip(tmp_path):
     from geocausal.propensity import PropensityOptions, fit_poisson_intensity
     from geocausal.simulate import simulate_series

@@ -192,6 +192,62 @@ def test_history_maps_lag_monotonicity():
     assert np.all(long >= 0.0) and np.all(long <= 1.0)
 
 
+
+def _sparse_history_series():
+    from geocausal.simulate import simulate_series
+    from geocausal.validation import default_dgp
+
+    # seed 3 leaves periods 1-2 and many later ones empty in both streams
+    return simulate_series(default_dgp(treatment_rate=0.3), 40, 3)
+
+
+def test_history_maps_equal_pooled_reference():
+    from geocausal.geometry import decay_transform, distance_map
+
+    series = _sparse_history_series()
+    grid = series.grid
+    lags = (1, 7, 30)
+    assert any(len(series.treatment(t)) == 0 for t in range(1, series.T + 1))
+    assert any(len(series.outcome(t)) == 0 for t in range(1, series.T + 1))
+    zero_windows = 0
+    for t in range(1, series.T + 1):
+        maps = history_maps(series, t, lags=lags, coef=-6.0)
+        for stream in ("treatment", "outcome"):
+            for lag in lags:
+                pats = [series.treatment(tt).base if stream == "treatment"
+                        else series.outcome(tt) for tt in range(max(1, t - lag), t)]
+                pts = [p.points for p in pats if len(p)]
+                got = maps["%s_hist_%d" % (stream, lag)].values
+                if pts:
+                    ref = decay_transform(distance_map(grid, np.vstack(pts)), -6.0)
+                    assert got.tobytes() == ref.values.tobytes()
+                else:
+                    zero_windows += 1
+                    assert got.tobytes() == np.zeros((grid.ny, grid.nx)).tobytes()
+    assert zero_windows > 0
+
+
+def test_history_maps_distance_map_once_per_period(monkeypatch):
+    import geocausal.patterns as patterns
+
+    series = _sparse_history_series()
+    calls = []
+    original = patterns.distance_map
+
+    def counting(grid, features):
+        calls.append(features)
+        return original(grid, features)
+
+    monkeypatch.setattr(patterns, "distance_map", counting)
+    for t in range(1, series.T + 1):
+        history_maps(series, t, lags=(1, 7, 30), coef=-6.0)
+    nonempty = sum(
+        (len(series.treatment(t)) > 0) + (len(series.outcome(t)) > 0)
+        for t in range(1, series.T)  # period T is never in a window
+    )
+    assert 0 < len(calls) <= nonempty
+
+
 def test_boundary_event_fraction():
     grid = build_grid(make_window(), 8, 8)
     series = series_from_outcomes(grid, [np.array([[0.1, 0.1]]),
