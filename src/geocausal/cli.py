@@ -32,6 +32,12 @@ def _load(args) -> pipeline.RunConfig:
         config.raw["seed"] = args.seed
     if args.out is not None:
         config.out_dir = args.out
+    if getattr(args, "events", None) is not None:
+        config.events_path = args.events
+    if getattr(args, "covariates", None) is not None:
+        config.covariate_paths = {
+            asc.stem: asc for asc in sorted(Path(args.covariates).glob("*.asc"))
+        }
     if not config.events_path.exists():
         print("error: events file not found: %s" % config.events_path, file=sys.stderr)
         raise SystemExit(2)
@@ -98,16 +104,6 @@ def main(argv=None) -> int:
 
     if args.command == "fit-propensity":
         config = _load(args)
-        if args.events is not None:
-            config.events_path = args.events
-        if args.covariates is not None:
-            config.covariate_paths = {
-                asc.stem: asc for asc in sorted(Path(args.covariates).glob("*.asc"))
-            }
-        if not config.events_path.exists():
-            print("error: events file not found: %s" % config.events_path,
-                  file=sys.stderr)
-            return 2
         series = pipeline._load_series(config)
         fit = pipeline._fit_propensity(config, series)
         io.dump_json(io.propensity_model_to_dict(fit), args.model_out)
@@ -130,8 +126,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command in ("ate", "cate", "mediate"):
-        return _run_estimands(args, {"ate": ["ate"], "cate": ["cate"],
-                                     "mediate": ["mediate"]}[args.command])
+        return _run_estimands(args, [args.command])
 
     if args.command == "simulate":
         dgp = _dgp_from(args.dgp)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -160,32 +160,56 @@ def compute_weight_series(series: PatternSeries, propensity: FittedPropensity,
 
 
 class SmoothedOutcomes:
-    """Lazy cache of per-period pre-rounded cell-mass vectors.
+    """Per-period pre-rounded cell masses as one read-only (T, n_cells) matrix.
 
-    One smoothing pass per period is shared by every region integral, effect
-    contrast, and pixel aggregation in the analysis.
+    Row ``t - 1`` holds ``smoothed_cell_values`` of period t's outcomes.  A
+    row is smoothed once, on first request; periods before the smallest L
+    asked for are never smoothed.  Region integrals, effect contrasts, pixel
+    effects and effect surfaces are all row operations on this matrix.
     """
 
-    def __init__(self, series: PatternSeries, spec: SmoothingSpec,
-                 cache: dict[int, np.ndarray] | None = None):
+    def __init__(self, series: PatternSeries, spec: SmoothingSpec):
         self.series = series
         self.spec = spec
-        self._cells: dict[int, np.ndarray] = cache if cache is not None else {}
+        self._matrix = np.empty((series.T, series.grid.n_cells))
+        self._view = self._matrix.view()
+        self._view.flags.writeable = False
+        self._first = series.T + 1  # rows of periods >= _first are filled
 
-    def cell_values(self, t: int) -> np.ndarray:
-        if t not in self._cells:
-            self._cells[t] = smoothed_cell_values(
+    def rows(self, L: int = 1) -> np.ndarray:
+        """Cell masses of periods L..T, shape (T - L + 1, n_cells), read-only."""
+        if L < 1:
+            raise ValueError("L must be at least 1")
+        for t in range(L, self._first):
+            self._matrix[t - 1] = smoothed_cell_values(
                 self.series.outcome(t), self.spec, self.series.grid
             )
-        return self._cells[t]
+        self._first = min(self._first, L)
+        return self._view[L - 1:]
+
+    def cell_values(self, t: int) -> np.ndarray:
+        """Cell masses of period t."""
+        return self.rows(t)[0]
 
     def region_integrals(self, region: Region, L: int = 1) -> np.ndarray:
         """integral_B smooth(Y_t) for t in [L, T]."""
         mask = region.resolve_mask(self.series.grid).ravel()
-        return np.array([
-            float(np.sum(self.cell_values(t)[mask]))
-            for t in range(L, self.series.T + 1)
-        ])
+        return self.rows(L)[:, mask].sum(axis=1)
+
+    def contributions(self, w1: WeightSeries, w2: WeightSeries) -> np.ndarray:
+        """Per-cell effect contributions ``w'_t v - w''_t v`` for t in [L, T].
+
+        This is the one place the exact-additivity rule lives: each row is
+        snapped onto its own power-of-two quantum with ``n_terms = n_cells``,
+        so sums over any partition of the cells (regions, pixels) are
+        error-free and add up bit-exactly.
+        """
+        if w1.L != w2.L:
+            raise ValueError("weight series disagree on L")
+        v = self.rows(w1.L)
+        diff = v * w1.weights[:, None]
+        diff -= v * w2.weights[:, None]
+        return snap_for_exact_sums(diff, n_terms=self.series.grid.n_cells)
 
 
 def expected_events(series: PatternSeries, weights: WeightSeries,
@@ -286,23 +310,10 @@ def _interval(center: float, var: float, n: int, z: float) -> tuple[float, float
 
 def per_period_contrasts(smoothed: SmoothedOutcomes, region: Region,
                          w1: WeightSeries, w2: WeightSeries) -> np.ndarray:
-    """Per-period IPW contrasts on the exact per-cell path.
-
-    For each t the per-cell effect contribution ``w'_t v_c - w''_t v_c`` is
-    pre-rounded, so sums over any partition of the region reproduce these
-    values bit-exactly (pixel additivity).
-    """
-    if w1.L != w2.L:
-        raise ValueError("weight series disagree on L")
-    series = smoothed.series
-    mask = region.resolve_mask(series.grid).ravel()
-    n_cells = series.grid.n_cells
-    out = np.empty(len(w1))
-    for i, t in enumerate(range(w1.L, series.T + 1)):
-        v = smoothed.cell_values(t)
-        e = snap_for_exact_sums(w1.weights[i] * v - w2.weights[i] * v, n_terms=n_cells)
-        out[i] = float(np.sum(e[mask]))
-    return out
+    """Per-period IPW contrasts: region sums of the snapped contributions, so
+    sums over any partition of the region reproduce them bit-exactly."""
+    mask = region.resolve_mask(smoothed.series.grid).ravel()
+    return smoothed.contributions(w1, w2)[:, mask].sum(axis=1)
 
 
 def estimate_ate(series: PatternSeries, propensity: FittedPropensity,
@@ -329,7 +340,7 @@ def estimate_ate(series: PatternSeries, propensity: FittedPropensity,
         trunc = _estimate_from_weights(
             smoothed, region, wA.truncated(truncation), wB.truncated(truncation), L
         )
-        estimate = _with_truncated(estimate, trunc)
+        estimate = replace(estimate, truncated_variant=trunc)
     return estimate
 
 
@@ -369,24 +380,16 @@ def _estimate_from_weights(smoothed: SmoothedOutcomes, region: Region,
     )
 
 
-def _with_truncated(estimate: EffectEstimate, trunc: EffectEstimate) -> EffectEstimate:
-    import dataclasses
-
-    return dataclasses.replace(estimate, truncated_variant=trunc)
-
-
 @dataclass(frozen=True)
 class SurfaceEstimate:
-    """Temporal-mean weighted smoothed outcome surface (optionally per period)."""
+    """Temporal-mean weighted smoothed outcome surface."""
 
     mean: Raster
-    per_t: list[Raster] | None = None
 
 
 def effect_surface(series: PatternSeries, spec: SmoothingSpec,
                    wA: WeightSeries, wB: WeightSeries,
-                   smoothed: SmoothedOutcomes | None = None,
-                   keep_per_t: bool = False) -> SurfaceEstimate:
+                   smoothed: SmoothedOutcomes | None = None) -> SurfaceEstimate:
     """Temporal mean of the per-period weighted surface differences.
 
     The mean surface is a density (per km^2): per-cell masses are divided by
@@ -394,17 +397,11 @@ def effect_surface(series: PatternSeries, spec: SmoothingSpec,
     """
     smoothed = smoothed or SmoothedOutcomes(series, spec)
     grid = series.grid
-    acc = np.zeros(grid.n_cells)
-    kept = [] if keep_per_t else None
-    L = wA.L
-    for i, t in enumerate(range(L, series.T + 1)):
-        v = smoothed.cell_values(t)
-        diff = wA.weights[i] * v - wB.weights[i] * v
-        acc += diff
-        if keep_per_t:
-            kept.append(Raster(grid, (diff / grid.cell_area).reshape(grid.ny, grid.nx)))
-    mean = acc / (series.T - L + 1) / grid.cell_area
-    return SurfaceEstimate(mean=Raster(grid, mean.reshape(grid.ny, grid.nx)), per_t=kept)
+    v = smoothed.rows(wA.L)
+    diff = v * wA.weights[:, None]
+    diff -= v * wB.weights[:, None]
+    mean = diff.sum(axis=0) / (series.T - wA.L + 1) / grid.cell_area
+    return SurfaceEstimate(mean=Raster(grid, mean.reshape(grid.ny, grid.nx)))
 
 
 def effect_by_distance_band(surface: Raster, polylines, bands) -> dict[float, float]:

@@ -371,15 +371,22 @@ def snap_for_exact_sums(values: np.ndarray, n_terms: int | None = None) -> np.nd
     ``2**53 * q``.  Such sums incur no rounding at all, hence are identical
     under any grouping or ordering.  The per-value perturbation is at most
     ``q/2 ~ max|values| * 2**(g-53)`` with ``g = ceil(log2(n_terms))``.
+
+    A 2-D array is snapped row by row, each row exactly as if it were
+    snapped alone (``n_terms`` defaults to the row length).
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return v.copy()
-    m = float(np.max(np.abs(v)))
-    if m == 0.0 or not math.isfinite(m):
-        return v.copy()
-    n = int(n_terms if n_terms is not None else v.size)
+    rows = np.atleast_2d(v)
+    m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    n = int(n_terms if n_terms is not None else rows.shape[1])
     guard = max(1, math.ceil(math.log2(max(n, 2))))
-    exp = math.frexp(m)[1]  # smallest e with m <= 2**e
-    q = math.ldexp(1.0, exp + guard - 53)
-    return np.round(v / q) * q
+    keep = (m == 0.0) | ~np.isfinite(m)
+    # frexp's exponent is the smallest e with m <= 2**e
+    q = np.where(keep, 1.0, np.ldexp(1.0, np.frexp(m)[1] + guard - 53))[:, None]
+    out = rows / q
+    np.round(out, out=out)
+    out *= q
+    out[keep] = rows[keep]
+    return out.reshape(v.shape)

@@ -11,12 +11,12 @@ time-averaged coefficients summarize how effects vary with the moderator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 
-from .effects import SmoothedOutcomes, WeightSeries, Z90, Z95, snap_for_exact_sums
+from .effects import SmoothedOutcomes, WeightSeries, Z90, Z95
 from .errors import RankDeficiencyError
 from .geometry import RasterGrid
 from .glm import NaturalCubicBasis, natural_cubic_basis
@@ -74,17 +74,20 @@ class PixelPartition:
         labels = np.where(labels >= 0, remap[np.maximum(labels, 0)], -1)
         return cls(grid=grid, labels=labels)
 
-    def pixel_centroids(self) -> np.ndarray:
-        """Mean cell-center coordinates per pixel, shape (p, 2)."""
-        centers = self.grid.cell_centers()
+    def pixel_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-pixel sums of each row of per-cell values, (n, n_cells) -> (n, p)."""
         flat = self.labels.ravel()
         keep = flat >= 0
-        sums = np.zeros((self.p, 2))
-        counts = np.bincount(flat[keep], minlength=self.p).astype(float)
-        for d in range(2):
-            sums[:, d] = np.bincount(flat[keep], weights=centers[keep, d],
-                                     minlength=self.p)
-        return sums / counts[:, None]
+        n = values.shape[0]
+        idx = (np.arange(n)[:, None] * self.p + flat[keep]).ravel()
+        sums = np.bincount(idx, weights=values[:, keep].ravel(), minlength=n * self.p)
+        return sums.reshape(n, self.p)
+
+    def pixel_centroids(self) -> np.ndarray:
+        """Mean cell-center coordinates per pixel, shape (p, 2)."""
+        x, y = self.grid.cell_centers().T
+        sx, sy, counts = self.pixel_sums(np.vstack([x, y, np.ones_like(x)]))
+        return np.column_stack([sx, sy]) / counts[:, None]
 
 
 def pixel_effects(smoothed: SmoothedOutcomes, partition: PixelPartition,
@@ -93,17 +96,13 @@ def pixel_effects(smoothed: SmoothedOutcomes, partition: PixelPartition,
 
     Uses the same pre-rounded per-cell contributions as the ATE per-period
     contrast, so ``sum(pixel_effects) == per_t contrast`` holds bit-exactly.
+    The contributions of every period are formed; for all periods at once,
+    take ``partition.pixel_sums`` of them once, as ``estimate_cate`` does.
     """
-    series = smoothed.series
-    if t < w1.L or t > series.T:
+    if t < w1.L or t > smoothed.series.T:
         raise ValueError("t outside the estimable range [L, T]")
     i = t - w1.L
-    v = smoothed.cell_values(t)
-    e = snap_for_exact_sums(w1.weights[i] * v - w2.weights[i] * v,
-                            n_terms=series.grid.n_cells)
-    flat = partition.labels.ravel()
-    keep = flat >= 0
-    return np.bincount(flat[keep], weights=e[keep], minlength=partition.p)
+    return partition.pixel_sums(smoothed.contributions(w1, w2)[i:i + 1])[0]
 
 
 @dataclass(frozen=True)
@@ -271,12 +270,8 @@ def estimate_cate(smoothed: SmoothedOutcomes, partition: PixelPartition,
 
     The moderator enters at the pre-intervention period t - L + 1.
     """
-    series = smoothed.series
     L = w1.L
-    betas = []
-    for t in range(L, series.T + 1):
-        tau = pixel_effects(smoothed, partition, w1, w2, t)
-        r = panel.at(moderator, t - L + 1)
-        betas.append(project_cate_t(tau, r, basis, missing=missing))
-    est = average_projection(np.asarray(betas))
-    return ProjectionEstimate(basis=basis, beta_bar=est.beta_bar, betas=est.betas)
+    taus = partition.pixel_sums(smoothed.contributions(w1, w2))
+    betas = [project_cate_t(tau, panel.at(moderator, t - L + 1), basis, missing=missing)
+             for t, tau in enumerate(taus, start=L)]
+    return replace(average_projection(betas), basis=basis)

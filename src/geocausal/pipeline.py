@@ -8,6 +8,7 @@ from the persisted estimates, never from recomputation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, io
-from .effects import SmoothedOutcomes, compute_weight_series, estimate_ate
+from .effects import SmoothedOutcomes, compute_weight_series, effect_surface, estimate_ate
 from .geometry import (
     RasterGrid,
     Region,
@@ -247,9 +248,11 @@ def _weight_summary(ws) -> dict:
     }
 
 
-def _resolution_check(config: RunConfig, series: PatternSeries,
-                      spec: SmoothingSpec, region: Region, n_periods: int = 12) -> dict:
+def _resolution_check(config: RunConfig, smoothed: SmoothedOutcomes,
+                      region: Region, n_periods: int = 12) -> dict:
     """Relative change of region integrals on a 2x-refined grid (sampled periods)."""
+    series, spec = smoothed.series, smoothed.spec
+    coarse = smoothed.rows(1)
     fine = build_grid(config.window, config.grid.nx * 2, config.grid.ny * 2)
     mask2d = region.resolve_mask(config.grid)
     mask = mask2d.ravel()
@@ -264,7 +267,7 @@ def _resolution_check(config: RunConfig, series: PatternSeries,
         pat = series.outcome(t)
         if len(pat) == 0:
             continue
-        coarse_val = float(np.sum(smoothed_cell_values(pat, spec, config.grid)[mask]))
+        coarse_val = float(np.sum(coarse[t - 1][mask]))
         fine_val = float(np.sum(smoothed_cell_values(pat, spec, fine)[mask_fine]))
         if fine_val != 0.0:
             rel.append(abs(coarse_val - fine_val) / abs(fine_val))
@@ -322,21 +325,23 @@ def run(config: RunConfig) -> dict:
                 "max_abs_score": fit.report.max_abs_score,
                 "ridge": fit.report.ridge,
             },
-            "resolution": _resolution_check(config, series, spec, region),
+            "resolution": _resolution_check(config, smoothed, region),
         },
     }
+    # A and B do not depend on L: built once, on first use, at the largest L.
+    pairs = functools.cache(lambda: _intervention_pairs(config, series))
 
     for estimand in config.estimands:
         try:
             if estimand == "ate":
                 report["estimands"]["ate"] = _run_ate(
-                    config, series, fit, spec, region, smoothed)
+                    config, series, fit, spec, region, smoothed, pairs)
             elif estimand == "cate":
                 report["estimands"]["cate"] = _run_cate(
-                    config, series, fit, spec, smoothed)
+                    config, series, fit, smoothed, pairs)
             elif estimand == "mediate":
                 report["estimands"]["mediate"] = _run_mediation(
-                    config, series, fit, spec, region, smoothed)
+                    config, series, fit, spec, region, smoothed, pairs)
             else:
                 raise ValueError("unknown estimand %r" % estimand)
             report["status"][estimand] = "ok"
@@ -348,14 +353,19 @@ def run(config: RunConfig) -> dict:
     return report
 
 
-def _run_ate(config, series, fit, spec, region, smoothed) -> dict:
+def _intervention_pairs(config: RunConfig, series: PatternSeries):
+    """Interventions A and B of the config at the largest L; a failed build
+    is not cached, so every estimand that needs them reports the error."""
     ivs = config.interventions
     if not ("A" in ivs and "B" in ivs):
-        raise ValueError("ate needs interventions A and B in the config")
-    # The interventions do not depend on L: build each once, re-stamp its L.
-    L_max = max(config.L_values)
-    baseA = build_intervention(ivs["A"], config, series, L_max)
-    baseB = build_intervention(ivs["B"], config, series, L_max)
+        raise ValueError("estimands need interventions A and B in the config")
+    return tuple(build_intervention(ivs[k], config, series, max(config.L_values))
+                 for k in "AB")
+
+
+def _run_ate(config, series, fit, spec, region, smoothed, pairs) -> dict:
+    baseA, baseB = pairs()
+    L_max = baseA.L
     results = {}
     for L in config.L_values:
         est = estimate_ate(series, fit, replace(baseA, L=L), replace(baseB, L=L),
@@ -366,17 +376,14 @@ def _run_ate(config, series, fit, spec, region, smoothed) -> dict:
     # Effect surface of the largest L, persisted as .asc.
     wA = compute_weight_series(series, fit, baseA.treatment, L_max)
     wB = compute_weight_series(series, fit, baseB.treatment, L_max)
-    from .effects import effect_surface
-
     surface = effect_surface(series, spec, wA, wB, smoothed=smoothed)
     io.write_ascii_grid(surface.mean, config.out_dir / "effect_surface.asc")
     results["weights"] = {"A": _weight_summary(wA), "B": _weight_summary(wB)}
     return results
 
 
-def _run_cate(config, series, fit, spec, smoothed) -> dict:
+def _run_cate(config, series, fit, smoothed, pairs) -> dict:
     cfg = config.cate
-    ivs = config.interventions
     L = max(config.L_values)
     factor = int(cfg.get("pixel_factor", 4))
     partition = PixelPartition.blocks(config.grid, factor)
@@ -389,8 +396,7 @@ def _run_cate(config, series, fit, spec, smoothed) -> dict:
     basis = (ProjectionBasis.natural_cubic(values, df) if df > 1
              else ProjectionBasis.linear())
 
-    pairA = build_intervention(ivs["A"], config, series, L)
-    pairB = build_intervention(ivs["B"], config, series, L)
+    pairA, pairB = pairs()
     wA = compute_weight_series(series, fit, pairA.treatment, L)
     wB = compute_weight_series(series, fit, pairB.treatment, L)
     proj = estimate_cate(smoothed, partition, wA, wB, panel, name, basis,
@@ -415,9 +421,8 @@ def _run_cate(config, series, fit, spec, smoothed) -> dict:
     }
 
 
-def _run_mediation(config, series, fit, spec, region, smoothed) -> dict:
+def _run_mediation(config, series, fit, spec, region, smoothed, pairs) -> dict:
     cfg = config.mediation
-    ivs = config.interventions
     L = max(config.L_values)
     tree_kind = cfg.get("tree", "binary")
     if tree_kind == "binary":
@@ -432,8 +437,7 @@ def _run_mediation(config, series, fit, spec, region, smoothed) -> dict:
     cov_names = cfg.get("covariates") or sorted(series.covariates)
     score = fit_mediator_score(series, cov_names, stages,
                                ridge=float(cfg.get("ridge", 0.0)))
-    pairA = build_intervention(ivs["A"], config, series, L)
-    pairB = build_intervention(ivs["B"], config, series, L)
+    pairA, pairB = pairs()
     effects = estimate_mediation_effects(series, fit, score, pairA, pairB,
                                          spec, region, L, smoothed=smoothed)
     payload = effects.to_dict()

@@ -121,6 +121,35 @@ def test_ate_builds_each_intervention_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_run_builds_interventions_once_for_all_estimands(tmp_path, monkeypatch):
+    # ate, cate and mediate share A and B: two smoothed baselines per run
+    import geocausal.patterns as patterns
+    from geocausal import pipeline
+
+    calls = []
+    original = patterns.kernel_smooth
+
+    def counting(pattern, spec, grid):
+        calls.append(len(pattern))
+        return original(pattern, spec, grid)
+
+    monkeypatch.setattr(patterns, "kernel_smooth", counting)
+    T = 160
+    rows = ["pixel_row,pixel_col,t,name,value"] + [
+        "%d,%d,%d,mech,%g" % (pr, pc, t, 0.3 * pr + 0.1 * pc)
+        for t in range(1, T + 1) for pr in range(4) for pc in range(4)]
+    (tmp_path / "mods.csv").write_text("\n".join(rows) + "\n")
+    cfg = make_workspace(tmp_path, T=T, estimands=("ate", "cate", "mediate"), extra={
+        "mediation": {"tree": "binary", "positive": "hit", "negative": "none",
+                      "covariates": ["bump_a"]},
+        "cate": {"moderators_csv": "mods.csv", "moderator": "mech",
+                 "pixel_factor": 8, "basis": {"df": 1}},
+    })
+    report = pipeline.run(pipeline.load_config(cfg))
+    assert report["status"] == {"ate": "ok", "cate": "ok", "mediate": "ok"}
+    assert len(calls) == 2
+
+
 def test_identical_interventions_yield_zero(tmp_path):
     cfg = make_workspace(tmp_path, extra={
         "interventions": {
@@ -272,3 +301,16 @@ def test_golden_end_to_end(tmp_path):
             assert a == b, path
 
     compare(got, want)
+
+
+def test_fit_propensity_event_override_replaces_missing_config_file(tmp_path):
+    cfg = make_workspace(tmp_path)
+    config = load_json(cfg)
+    config["events"] = "missing.csv"
+    dump_json(config, cfg)
+    model_path = tmp_path / "model.json"
+    assert main(["fit-propensity", "--config", str(cfg),
+                 "--events", str(tmp_path / "events.csv"),
+                 "--covariates", str(tmp_path / "covs"),
+                 "--model-out", str(model_path)]) == 0
+    assert load_json(model_path)["convergence"]["converged"]

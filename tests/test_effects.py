@@ -19,13 +19,22 @@ from geocausal.effects import (
     variance_bound,
 )
 from geocausal.errors import OverlapViolationError
-from geocausal.geometry import Raster, Region, SpatialWindow, build_grid, integrate_raster, normalize_raster
+from geocausal.geometry import (
+    Raster,
+    Region,
+    SpatialWindow,
+    build_grid,
+    integrate_raster,
+    normalize_raster,
+    snap_for_exact_sums,
+)
 from geocausal.interventions import InterventionPair, TreatmentIntervention, intensified
 from geocausal.patterns import (
     MarkedPointPattern,
     PatternSeries,
     PointPattern,
     SmoothingSpec,
+    smoothed_cell_values,
 )
 from geocausal.propensity import fit_poisson_intensity
 from geocausal.simulate import simulate_series
@@ -300,3 +309,54 @@ def test_effect_surface_consistency(fitted_world):
     total = integrate_raster(surf.mean)
     per_t = per_period_contrasts(smoothed, Region.whole_window(series.grid), wA, wB)
     assert total == pytest.approx(float(np.mean(per_t)), rel=1e-9, abs=1e-12)
+
+
+def _west_region():
+    return Region(polygon=np.array([[0, 0], [5, 0], [5, 10], [0, 10]], dtype=float),
+                  label="west")
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_row_operations_match_per_period_loop(fitted_world, L):
+    # reference: one period at a time, straight from the smoothing function
+    dgp, series, fit, baseline = fitted_world
+    spec = SmoothingSpec(bandwidth=0.4)
+    grid = series.grid
+    wA = compute_weight_series(series, fit, intensified(baseline, 0.5), L)
+    wB = compute_weight_series(series, fit, intensified(baseline, 0.2), L)
+    smoothed = SmoothedOutcomes(series, spec)
+    acc = np.zeros(grid.n_cells)
+    for region in (Region.whole_window(grid), _west_region()):
+        mask = region.resolve_mask(grid).ravel()
+        want = []
+        for i, t in enumerate(range(L, series.T + 1)):
+            v = smoothed_cell_values(series.outcome(t), spec, grid)
+            e = snap_for_exact_sums(wA.weights[i] * v - wB.weights[i] * v,
+                                    n_terms=grid.n_cells)
+            want.append(float(np.sum(e[mask])))
+        got = per_period_contrasts(smoothed, region, wA, wB)
+        assert got.tobytes() == np.array(want).tobytes()
+    for i, t in enumerate(range(L, series.T + 1)):
+        v = smoothed_cell_values(series.outcome(t), spec, grid)
+        acc += wA.weights[i] * v - wB.weights[i] * v
+    want_mean = (acc / (series.T - L + 1) / grid.cell_area).reshape(grid.ny, grid.nx)
+    surf = effect_surface(series, spec, wA, wB, smoothed=smoothed)
+    assert surf.mean.values.tobytes() == want_mean.tobytes()
+
+
+def test_region_integrals_are_masked_row_sums(fitted_world):
+    dgp, series, fit, baseline = fitted_world
+    spec = SmoothingSpec(bandwidth=0.4)
+    grid = series.grid
+    smoothed = SmoothedOutcomes(series, spec)
+    rows = smoothed.rows(1)
+    assert rows.shape == (series.T, grid.n_cells)
+    assert not rows.flags.writeable
+    for region in (Region.whole_window(grid), _west_region()):
+        mask = region.resolve_mask(grid).ravel()
+        for L in (1, 4):
+            got = smoothed.region_integrals(region, L=L)
+            assert got.tobytes() == rows[L - 1:, mask].sum(axis=1).tobytes()
+            want = [float(np.sum(smoothed_cell_values(series.outcome(t), spec, grid)[mask]))
+                    for t in range(L, series.T + 1)]
+            assert got.tobytes() == np.array(want).tobytes()

@@ -228,3 +228,16 @@ def test_snap_for_exact_sums_subset_additivity():
     labels = rng.integers(0, 37, size=4096)
     parts = np.array([v[labels == k].sum() for k in range(37)])
     assert parts.sum() == v.sum()  # bit-exact, any grouping
+
+
+def test_snap_for_exact_sums_2d_is_row_by_row():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(5, 300)) * np.array([[1e-6], [1.0], [0.0], [1e4], [3.0]])
+    rows[4, ::3] = 0.0
+    snapped = snap_for_exact_sums(rows, n_terms=1024)
+    assert snapped.shape == rows.shape
+    for got, row in zip(snapped, rows):
+        assert got.tobytes() == snap_for_exact_sums(row, n_terms=1024).tobytes()
+    assert np.all(snapped[2] == 0.0)
+    # the default n_terms is the row length, as for a single row
+    assert snap_for_exact_sums(rows)[1].tobytes() == snap_for_exact_sums(rows[1]).tobytes()

@@ -5,7 +5,13 @@ import pytest
 
 from geocausal.effects import SmoothedOutcomes, compute_weight_series, per_period_contrasts
 from geocausal.errors import RankDeficiencyError
-from geocausal.geometry import Region, SpatialWindow, build_grid, normalize_raster
+from geocausal.geometry import (
+    Region,
+    SpatialWindow,
+    build_grid,
+    normalize_raster,
+    snap_for_exact_sums,
+)
 from geocausal.glm import natural_cubic_basis
 from geocausal.heterogeneity import (
     ModeratorPanel,
@@ -17,7 +23,7 @@ from geocausal.heterogeneity import (
     project_cate_t,
 )
 from geocausal.interventions import intensified
-from geocausal.patterns import SmoothingSpec
+from geocausal.patterns import SmoothingSpec, smoothed_cell_values
 from geocausal.propensity import fit_poisson_intensity
 from geocausal.simulate import simulate_series
 from geocausal.validation import default_dgp
@@ -202,3 +208,25 @@ def test_estimate_cate_end_to_end(world):
         for t in range(wA.L, series.T + 1)
     ])
     assert proj0.beta_bar[0] == pytest.approx(taus.mean(), abs=1e-10)
+
+
+def test_estimate_cate_matches_per_period_loop(world):
+    # reference: one period at a time, pixel sums by bincount of snapped cells
+    dgp, series, smoothed, wA, wB = world
+    grid = series.grid
+    part = PixelPartition.blocks(grid, 4)
+    rng = np.random.default_rng(29)
+    panel = ModeratorPanel(partition=part, values={"m": rng.uniform(size=(part.p, series.T))})
+    basis = ProjectionBasis.linear()
+    flat = part.labels.ravel()
+    keep = flat >= 0
+    betas = []
+    for i, t in enumerate(range(wA.L, series.T + 1)):
+        v = smoothed_cell_values(series.outcome(t), smoothed.spec, grid)
+        e = snap_for_exact_sums(wA.weights[i] * v - wB.weights[i] * v, n_terms=grid.n_cells)
+        tau = np.bincount(flat[keep], weights=e[keep], minlength=part.p)
+        assert pixel_effects(smoothed, part, wA, wB, t).tobytes() == tau.tobytes()
+        betas.append(project_cate_t(tau, panel.at("m", t - wA.L + 1), basis))
+    proj = estimate_cate(smoothed, part, wA, wB, panel, "m", basis)
+    assert proj.betas.tobytes() == np.array(betas).tobytes()
+    assert proj.beta_bar.tobytes() == np.array(betas).mean(axis=0).tobytes()
