@@ -28,6 +28,7 @@ from .patterns import (
     count_in_region,
     history_maps,
     kernel_smooth,
+    prefix_series,
 )
 from .propensity import (
     FittedPropensity,
@@ -95,7 +96,6 @@ from .simulate import (
     expected_region_outcome,
     mc_oracle,
     oracle_effect,
-    prefix_series,
     simulate_series,
 )
 from .validation import (

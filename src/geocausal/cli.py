@@ -35,9 +35,12 @@ def _load(args) -> pipeline.RunConfig:
     if getattr(args, "events", None) is not None:
         config.events_path = args.events
     if getattr(args, "covariates", None) is not None:
-        config.covariate_paths = {
-            asc.stem: asc for asc in sorted(Path(args.covariates).glob("*.asc"))
-        }
+        config.covariate_paths = args.covariates
+    try:
+        config.covariate_paths = pipeline._covariate_rasters(config.covariate_paths)
+    except FileNotFoundError as err:
+        print("error: %s" % err, file=sys.stderr)
+        raise SystemExit(2)
     if not config.events_path.exists():
         print("error: events file not found: %s" % config.events_path, file=sys.stderr)
         raise SystemExit(2)
@@ -86,7 +89,6 @@ def main(argv=None) -> int:
     p.add_argument("--T", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("synthetic"))
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("validate", help="coverage experiment against the oracle")
     p.add_argument("--dgp", type=Path, help="DGP preset JSON")

@@ -247,37 +247,39 @@ def mediator_log_density(model: MediatorScoreModel, marks, X: np.ndarray,
 
 
 def _mediator_period_ratio(series: PatternSeries, model: MediatorScoreModel,
-                           shift: MediatorIntervention, t: int,
-                           numerator_model: MediatorScoreModel | None = None) -> float:
+                           shift: MediatorIntervention | None, t: int) -> float:
     pat = series.treatment(t)
     if len(pat) == 0:
         return 0.0
     X = point_covariates(series, model.covariate_names, t, pat.points)
-    num_model = numerator_model or model
-    if numerator_model is None and shift is None:
+    if shift is None:
         return 0.0  # pass-through: identical densities cancel exactly
-    Xnum = X if numerator_model is None else point_covariates(
-        series, num_model.covariate_names, t, pat.points)
     try:
-        num = mediator_log_density(num_model, pat.marks, Xnum, shift=shift)
+        num = mediator_log_density(model, pat.marks, X, shift=shift)
         den = mediator_log_density(model, pat.marks, X)
     except OverlapViolationError as err:
         raise OverlapViolationError("period %d: %s" % (t, err)) from err
     return num - den
 
 
+def mediator_log_ratios(series: PatternSeries, model: MediatorScoreModel,
+                        shift: MediatorIntervention | None) -> np.ndarray:
+    """Log ratio of the shifted over the fitted mediator density of every
+    observed mark pattern; shape (T,), zero for a pass-through shift."""
+    return np.array([_mediator_period_ratio(series, model, shift, t)
+                     for t in range(1, series.T + 1)])
+
+
 def compute_mediation_weights(series: PatternSeries, propensity: FittedPropensity,
                               model: MediatorScoreModel, iv: InterventionPair,
-                              L: int, t: int,
-                              numerator_model: MediatorScoreModel | None = None) -> float:
+                              L: int, t: int) -> float:
     """Weight of period t with both treatment and mediator density ratios."""
     if t < L:
         raise ValueError("t must be at least L")
     log_w = 0.0
     for offset, tt in enumerate(range(t - L + 1, t + 1)):
         log_w += _period_log_ratio(series, propensity, iv.treatment, tt, offset)
-        log_w += _mediator_period_ratio(series, model, iv.mediator, tt,
-                                        numerator_model=numerator_model)
+        log_w += _mediator_period_ratio(series, model, iv.mediator, tt)
     if not math.isfinite(log_w):
         raise ValueError("non-finite mediation log-weight at t=%d" % t)
     return math.exp(log_w)
@@ -286,18 +288,11 @@ def compute_mediation_weights(series: PatternSeries, propensity: FittedPropensit
 def compute_mediation_weight_series(series: PatternSeries,
                                     propensity: FittedPropensity,
                                     model: MediatorScoreModel,
-                                    iv: InterventionPair, L: int,
-                                    numerator_model: MediatorScoreModel | None = None
-                                    ) -> WeightSeries:
+                                    iv: InterventionPair, L: int) -> WeightSeries:
     """Mediation weights for every t in [L, T]."""
-    med = np.array([
-        _mediator_period_ratio(series, model, iv.mediator, tt,
-                               numerator_model=numerator_model)
-        for tt in range(1, series.T + 1)
-    ])
-    num = intervention_log_densities(series, iv.treatment)
-    den = propensity_log_densities(series, propensity)
-    return window_weights(med + (num - den), L)
+    return window_weights(mediator_log_ratios(series, model, iv.mediator)
+                          + (intervention_log_densities(series, iv.treatment)
+                             - propensity_log_densities(series, propensity)), L)
 
 
 @dataclass(frozen=True)
@@ -331,25 +326,29 @@ def estimate_mediation_effects(series: PatternSeries, propensity: FittedPropensi
                                pairA: InterventionPair, pairB: InterventionPair,
                                spec: SmoothingSpec, region: Region,
                                L: int | None = None,
-                               smoothed: SmoothedOutcomes | None = None,
-                               numerator_model: MediatorScoreModel | None = None
+                               smoothed: SmoothedOutcomes | None = None
                                ) -> MediationEffects:
-    """Estimate TE/DE/IE for the intervention pair contrast A vs B."""
+    """Estimate TE/DE/IE for the intervention pair contrast A vs B.
+
+    The four corners share five per-period series: the propensity densities
+    and, per arm, the treatment densities and the mediator log ratios."""
     L = L if L is not None else pairA.L
     if pairA.L != pairB.L or L != pairA.L:
         raise ValueError("both intervention pairs must share L")
     smoothed = smoothed or SmoothedOutcomes(series, spec)
 
-    def weights_for(treatment_iv, mediator_iv) -> WeightSeries:
-        corner = InterventionPair(treatment=treatment_iv, mediator=mediator_iv, L=L)
-        return compute_mediation_weight_series(series, propensity, model, corner, L,
-                                               numerator_model=numerator_model)
+    med_a = mediator_log_ratios(series, model, pairA.mediator)
+    num_a = intervention_log_densities(series, pairA.treatment)
+    den = propensity_log_densities(series, propensity)
+    med_b = mediator_log_ratios(series, model, pairB.mediator)
+    ratio_a = num_a - den
+    ratio_b = intervention_log_densities(series, pairB.treatment) - den
 
     # Corner weights: (W', M'), (W'', M''), (W'', M'), (W', M'').
-    w_a = weights_for(pairA.treatment, pairA.mediator)
-    w_b = weights_for(pairB.treatment, pairB.mediator)
-    w_ba = weights_for(pairB.treatment, pairA.mediator)
-    w_ab = weights_for(pairA.treatment, pairB.mediator)
+    w_a = window_weights(med_a + ratio_a, L)
+    w_b = window_weights(med_b + ratio_b, L)
+    w_ba = window_weights(med_a + ratio_b, L)
+    w_ab = window_weights(med_b + ratio_a, L)
 
     total = _estimate_from_weights(smoothed, region, w_a, w_b, L)
     direct = _estimate_from_weights(smoothed, region, w_a, w_ba, L)

@@ -173,6 +173,14 @@ class PatternSeries:
         return self.outcomes[t - 1]
 
 
+def prefix_series(series: PatternSeries, T: int) -> PatternSeries:
+    """View of the first T periods (shares pattern objects and covariates)."""
+    if T > series.T:
+        raise ValueError("prefix longer than the series")
+    covs = {n: c if isinstance(c, Raster) else c[:T] for n, c in series.covariates.items()}
+    return PatternSeries(series.grid, series.treatments[:T], series.outcomes[:T], covs)
+
+
 def count_in_region(pattern: PointPattern, region: Region, grid: RasterGrid) -> int:
     """Number of events whose containing cell lies in the region.
 

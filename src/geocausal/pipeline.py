@@ -67,7 +67,7 @@ class RunConfig:
     window: SpatialWindow
     grid: RasterGrid
     events_path: Path
-    covariate_paths: dict[str, Path]
+    covariate_paths: dict[str, Path] | Path  # by name, or a directory of *.asc
     smoothing: dict
     propensity: dict
     interventions: dict
@@ -117,13 +117,8 @@ def load_config(path) -> RunConfig:
     grid = build_grid(window, int(grid_spec.get("nx", 32)), int(grid_spec.get("ny", 32)))
     events = base / raw["events"]
     cov_spec = raw.get("covariates", {})
-    cov_paths: dict[str, Path] = {}
     if "dir" in cov_spec:
-        cov_dir = base / cov_spec["dir"]
-        if not cov_dir.is_dir():
-            raise FileNotFoundError("covariate directory not found: %s" % cov_dir)
-        for asc in sorted(cov_dir.glob("*.asc")):
-            cov_paths[asc.stem] = asc
+        cov_paths = base / cov_spec["dir"]
     else:
         cov_paths = {name: base / p for name, p in cov_spec.items()}
     return RunConfig(
@@ -145,9 +140,19 @@ def load_config(path) -> RunConfig:
     )
 
 
+def _covariate_rasters(paths: dict[str, Path] | Path) -> dict[str, Path]:
+    """Covariate raster paths by name: a mapping as given, or a directory's
+    ``*.asc`` files named by their stems."""
+    if isinstance(paths, dict):
+        return paths
+    if not paths.is_dir():
+        raise FileNotFoundError("covariate directory not found: %s" % paths)
+    return {asc.stem: asc for asc in sorted(paths.glob("*.asc"))}
+
+
 def _load_series(config: RunConfig) -> PatternSeries:
     covariates = {}
-    for name, p in config.covariate_paths.items():
+    for name, p in _covariate_rasters(config.covariate_paths).items():
         if not Path(p).exists():
             raise FileNotFoundError("covariate raster not found: %s" % p)
         covariates[name] = io.read_ascii_grid(p, window=config.window)

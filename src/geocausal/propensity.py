@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OverlapViolationError
 from .geometry import Raster, RasterGrid, integrate_raster
 from .glm import NaturalCubicBasis, fit_glm, natural_cubic_basis
-from .patterns import PatternSeries, PointPattern
+from .patterns import PatternSeries, PointPattern, prefix_series
 
 
 @dataclass
@@ -83,8 +83,9 @@ class FittedPropensity:
         self.report = report
         self.options = options
         self._indicators = options.period_indicators
-        self._cache: dict[int, tuple[Raster, float]] = {}
-        self._static_key: tuple[Raster, float] | None = None
+        # period -> (intensity raster, its integral); key None when the model
+        # is static on the series, so one prediction serves every period.
+        self._cache: dict[int | None, tuple[Raster, float]] = {}
 
     @property
     def converged(self) -> bool:
@@ -95,30 +96,26 @@ class FittedPropensity:
                 and self.model.time_spline is None
                 and not self.model.indicator_coef)
 
+    def _predicted(self, series: PatternSeries, t: int) -> tuple[Raster, float]:
+        key = None if self._is_static_for(series) else t
+        if key not in self._cache:
+            period = 1 if key is None else key
+            covs = {n: series.covariate(n, period) for n in self.model.covariate_names}
+            raster = predict_intensity(self, covs, t=key, grid=series.grid)
+            self._cache[key] = (raster, integrate_raster(raster))
+        return self._cache[key]
+
     def intensity(self, series: PatternSeries, t: int) -> Raster:
         """Predicted intensity raster for period t (cached)."""
-        if self._is_static_for(series):
-            if self._static_key is None:
-                covs = {n: series.covariate(n, 1) for n in self.model.covariate_names}
-                raster = predict_intensity(self, covs, grid=series.grid)
-                self._static_key = (raster, integrate_raster(raster))
-            return self._static_key[0]
-        if t not in self._cache:
-            covs = {n: series.covariate(n, t) for n in self.model.covariate_names}
-            raster = predict_intensity(self, covs, t=t, grid=series.grid)
-            self._cache[t] = (raster, integrate_raster(raster))
-        return self._cache[t][0]
+        return self._predicted(series, t)[0]
 
     def intensity_integral(self, series: PatternSeries, t: int) -> float:
-        self.intensity(series, t)
-        key = self._static_key if self._is_static_for(series) else self._cache[t]
-        return key[1]
+        return self._predicted(series, t)[1]
 
     def log_density(self, series: PatternSeries, t: int) -> float:
         """log e_t of the observed treatment pattern at period t."""
-        raster = self.intensity(series, t)
-        return log_pattern_density(raster, series.treatment(t).base,
-                                   integral=self.intensity_integral(series, t))
+        raster, integral = self._predicted(series, t)
+        return log_pattern_density(raster, series.treatment(t).base, integral=integral)
 
 
 def _cell_counts(grid: RasterGrid, pattern: PointPattern) -> np.ndarray:
@@ -307,7 +304,7 @@ def fit_diagnostics(fit: FittedPropensity, series: PatternSeries,
     n_train = int(np.floor(split * T))
     if n_train < 1:
         raise ValueError("split leaves no training periods")
-    train = _subseries(series, n_train)
+    train = prefix_series(series, n_train)
     refit = fit_poisson_intensity(train, fit.model.covariate_names,
                                   _truncated_options(fit.options, n_train))
     # Out-of-sample prediction needs indicator values past the training window.
@@ -337,13 +334,6 @@ def fit_diagnostics(fit: FittedPropensity, series: PatternSeries,
         outsample_residuals=out_resid, outsample_trend=slope,
         outsample_trend_se=se, trend_flagged=flagged,
     )
-
-
-def _subseries(series: PatternSeries, n: int) -> PatternSeries:
-    covs = {}
-    for name, cov in series.covariates.items():
-        covs[name] = cov if isinstance(cov, Raster) else cov[:n]
-    return PatternSeries(series.grid, series.treatments[:n], series.outcomes[:n], covs)
 
 
 def _truncated_options(options: PropensityOptions, n: int) -> PropensityOptions:

@@ -31,7 +31,7 @@ from .interventions import (
     sample_pattern,
 )
 from .mediation import MediatorScoreModel, binary_tree
-from .patterns import MarkedPointPattern, PatternSeries, PointPattern
+from .patterns import MarkedPointPattern, PatternSeries, PointPattern, prefix_series
 
 
 @dataclass(frozen=True)
@@ -238,14 +238,6 @@ def simulate_series(dgp: SyntheticDGP, T: int, seed) -> PatternSeries:
     return PatternSeries(grid, treatments, outcomes, dict(dgp.covariates))
 
 
-def prefix_series(series: PatternSeries, T: int) -> PatternSeries:
-    """View of the first T periods (shares pattern objects and covariates)."""
-    if T > series.T:
-        raise ValueError("prefix longer than the series")
-    covs = {n: c if isinstance(c, Raster) else c[:T] for n, c in series.covariates.items()}
-    return PatternSeries(series.grid, series.treatments[:T], series.outcomes[:T], covs)
-
-
 def _region_kernel_mass(dgp: SyntheticDGP, region_mask: np.ndarray,
                         points: np.ndarray) -> np.ndarray:
     """integral over B of k_rho(. - s) per source point (midpoint rule)."""
@@ -277,6 +269,23 @@ def _history_contribution(dgp: SyntheticDGP, region_mask: np.ndarray,
     return out
 
 
+def _mark_model(dgp: SyntheticDGP,
+                mediator_model: MediatorScoreModel | None) -> MediatorScoreModel | None:
+    """The mark model the oracle shifts: the given one, else the DGP's own rule."""
+    if mediator_model is None and dgp.mediator_coef is not None:
+        return dgp.true_mediator_model()
+    return mediator_model
+
+
+def _mark_covariates(dgp: SyntheticDGP, model: MediatorScoreModel,
+                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mark-model covariate rows read off the DGP rasters at cells (rows, cols)."""
+    names = model.covariate_names
+    if not names:
+        return np.zeros((len(rows), 0))
+    return np.column_stack([dgp.covariates[n].values[rows, cols] for n in names])
+
+
 def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
               region: Region, n_draws: int, seed,
               mediator_model: MediatorScoreModel | None = None) -> OracleResult:
@@ -298,9 +307,7 @@ def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
     mu0_region = float(np.sum(dgp.mu0.values.ravel()[region_mask]) * grid.cell_area)
     det = mu0_region + _history_contribution(dgp, region_mask, list(history), L)
 
-    model = mediator_model
-    if model is None and dgp.mediator_coef is not None:
-        model = dgp.true_mediator_model()
+    model = _mark_model(dgp, mediator_model)
 
     draws = np.zeros(n_draws)
     contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
@@ -312,10 +319,7 @@ def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
         for j in range(L):
             pat = sample_pattern(iv.treatment, rng, time=j + 1, offset=j)
             if model is not None and len(pat):
-                row, col = grid.cell_index(pat.points)
-                X = np.column_stack([
-                    dgp.covariates[n].values[row, col] for n in model.covariate_names
-                ]) if model.covariate_names else np.zeros((len(pat), 0))
+                X = _mark_covariates(dgp, model, *grid.cell_index(pat.points))
                 probs = model.category_probabilities(X, shift=iv.mediator)
                 marks = sample_marks(probs, rng)
             else:
@@ -397,9 +401,7 @@ def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
     baseline = Raster(grid, ivA.treatment.rasters[0].values
                       / ivA.treatment.expected_count)
 
-    model = mediator_model
-    if model is None and dgp.mediator_coef is not None:
-        model = dgp.true_mediator_model()
+    model = _mark_model(dgp, mediator_model)
     use_marks = dgp.mediator_bonus != 0.0 and model is not None
 
     contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
@@ -419,9 +421,7 @@ def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
                            y0 + (rows + u[:, 1]) * grid.dy])
 
     if use_marks:
-        X = np.column_stack([
-            dgp.covariates[n].values[rows, cols] for n in model.covariate_names
-        ]) if model.covariate_names else np.zeros((n_draws, 0))
+        X = _mark_covariates(dgp, model, rows, cols)
         p = model.category_probabilities(X, shift=ivA.mediator)[dgp.mediator_positive]
         active = (rng.uniform(size=n_draws) < p).astype(float)
     else:
@@ -448,9 +448,9 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
     rng = np.random.default_rng(seed)
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()
-    model = mediator_model
+    model = _mark_model(dgp, mediator_model)
     if model is None:
-        model = dgp.true_mediator_model()
+        raise ValueError("DGP has no mediator rule")
     positive = dgp.mediator_positive
 
     diffs = np.zeros(n_draws)
@@ -462,10 +462,7 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
             lag = L - 1 - j
             if len(pat) == 0 or lag not in contributing:
                 continue
-            row, col = grid.cell_index(pat.points)
-            X = np.column_stack([
-                dgp.covariates[n].values[row, col] for n in model.covariate_names
-            ]) if model.covariate_names else np.zeros((len(pat), 0))
+            X = _mark_covariates(dgp, model, *grid.cell_index(pat.points))
             pA = model.category_probabilities(X, shift=ivA.mediator)[positive]
             pB = model.category_probabilities(X, shift=ivB.mediator)[positive]
             u = rng.uniform(size=len(pat))
@@ -499,9 +496,7 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
     total = (float(np.sum(dgp.mu0.values.ravel()[region_mask]) * area)
              + _history_contribution(dgp, region_mask, list(history), L))
 
-    model = mediator_model
-    if model is None and dgp.mediator_coef is not None:
-        model = dgp.true_mediator_model()
+    model = _mark_model(dgp, mediator_model)
 
     for j in range(L):
         lag = L - 1 - j
@@ -512,9 +507,7 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
         field = exact_expected_spillover(dgp, lam)
         total += c * float(np.sum(field[region_mask])) * area
         if model is not None and dgp.mediator_bonus != 0.0:
-            X = np.column_stack([
-                dgp.covariates[n].values.ravel() for n in model.covariate_names
-            ]) if model.covariate_names else np.zeros((grid.n_cells, 0))
+            X = _mark_covariates(dgp, model, *np.divmod(np.arange(grid.n_cells), grid.nx))
             p_active = model.category_probabilities(X, shift=iv.mediator)[
                 dgp.mediator_positive]
             bonus_field = exact_expected_spillover(

@@ -314,3 +314,21 @@ def test_fit_propensity_event_override_replaces_missing_config_file(tmp_path):
                  "--covariates", str(tmp_path / "covs"),
                  "--model-out", str(model_path)]) == 0
     assert load_json(model_path)["convergence"]["converged"]
+
+
+def test_fit_propensity_covariate_override_replaces_missing_config_dir(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    config = load_json(cfg)
+    config["covariates"] = {"dir": "missing_covs"}
+    dump_json(config, cfg)
+    model_path = tmp_path / "model.json"
+    assert main(["fit-propensity", "--config", str(cfg),
+                 "--covariates", str(tmp_path / "covs"),
+                 "--model-out", str(model_path)]) == 0
+    assert load_json(model_path)["convergence"]["converged"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-propensity", "--config", str(cfg), "--model-out", str(model_path)])
+    assert exc.value.code == 2
+    assert ("error: covariate directory not found: %s" % (tmp_path / "missing_covs")
+            in capsys.readouterr().err)

@@ -232,6 +232,72 @@ def test_decomposition_exact(med_world):
         assert te == pytest.approx(de2 + ie2, abs=1e-10)
 
 
+def _corner_weights(monkeypatch, *args):
+    """Run estimate_mediation_effects and capture its four corner weights."""
+    import geocausal.mediation as mediation
+
+    calls = []
+    original = mediation._estimate_from_weights
+
+    def record(smoothed, region, w1, w2, L):
+        calls.append((w1, w2))
+        return original(smoothed, region, w1, w2, L)
+
+    monkeypatch.setattr(mediation, "_estimate_from_weights", record)
+    estimate_mediation_effects(*args)
+    # total (a, b), direct (a, ba), indirect (ba, b), alt_indirect (a, ab)
+    return {"a": calls[0][0], "b": calls[0][1], "ba": calls[1][1], "ab": calls[3][1]}
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_corner_weights_match_weight_series(med_world, monkeypatch, L):
+    dgp, series, fit, score, baseline = med_world
+    spec = SmoothingSpec(bandwidth=0.4)
+    region = interior_region(series.grid)
+    shifted = InterventionPair(intensified(baseline, 0.8),
+                               MediatorIntervention(2.5, "hit"), L=L)
+    passthrough = InterventionPair(intensified(baseline, 0.4), None, L=L)
+    corners = _corner_weights(monkeypatch, series, fit, score, shifted, passthrough,
+                              spec, region, L)
+    for key, treatment, mediator in (
+            ("a", shifted, shifted), ("b", passthrough, passthrough),
+            ("ba", passthrough, shifted), ("ab", shifted, passthrough)):
+        pair = InterventionPair(treatment.treatment, mediator.mediator, L=L)
+        ws = compute_mediation_weight_series(series, fit, score, pair, L)
+        assert np.array_equal(corners[key].log_weights, ws.log_weights), key
+        assert np.array_equal(corners[key].weights, ws.weights), key
+
+
+def test_estimate_computes_each_shared_series_once(med_world, monkeypatch):
+    import geocausal.effects as effects
+    import geocausal.mediation as mediation
+    from geocausal.propensity import FittedPropensity
+
+    dgp, series, fit, score, baseline = med_world
+    counts = {"propensity": 0, "treatment": 0, "mediator": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FittedPropensity, "log_density",
+                        counting("propensity", FittedPropensity.log_density))
+    monkeypatch.setattr(effects, "log_intervention_density",
+                        counting("treatment", effects.log_intervention_density))
+    monkeypatch.setattr(mediation, "_mediator_period_ratio",
+                        counting("mediator", mediation._mediator_period_ratio))
+    pairA = InterventionPair(intensified(baseline, 0.8),
+                             MediatorIntervention(2.5, "hit"), L=2)
+    pairB = InterventionPair(intensified(baseline, 0.4), None, L=2)
+    estimate_mediation_effects(series, fit, score, pairA, pairB,
+                               SmoothingSpec(bandwidth=0.4),
+                               interior_region(series.grid), 2)
+    T = series.T
+    assert counts == {"propensity": T, "treatment": 2 * T, "mediator": 2 * T}
+
+
 def test_degenerate_contrasts(med_world):
     dgp, series, fit, score, baseline = med_world
     spec = SmoothingSpec(bandwidth=0.4)
