@@ -37,7 +37,7 @@ def _load(args) -> pipeline.RunConfig:
     if getattr(args, "covariates", None) is not None:
         config.covariate_paths = args.covariates
     try:
-        config.covariate_paths = pipeline._covariate_rasters(config.covariate_paths)
+        config.covariate_paths = pipeline.covariate_rasters(config.covariate_paths)
     except FileNotFoundError as err:
         print("error: %s" % err, file=sys.stderr)
         raise SystemExit(2)

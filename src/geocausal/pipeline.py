@@ -67,7 +67,7 @@ class RunConfig:
     window: SpatialWindow
     grid: RasterGrid
     events_path: Path
-    covariate_paths: dict[str, Path] | Path  # by name, or a directory of *.asc
+    covariate_paths: dict[str, Path] | Path  # see covariate_rasters
     smoothing: dict
     propensity: dict
     interventions: dict
@@ -140,7 +140,7 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _covariate_rasters(paths: dict[str, Path] | Path) -> dict[str, Path]:
+def covariate_rasters(paths: dict[str, Path] | Path) -> dict[str, Path]:
     """Covariate raster paths by name: a mapping as given, or a directory's
     ``*.asc`` files named by their stems."""
     if isinstance(paths, dict):
@@ -152,7 +152,7 @@ def _covariate_rasters(paths: dict[str, Path] | Path) -> dict[str, Path]:
 
 def _load_series(config: RunConfig) -> PatternSeries:
     covariates = {}
-    for name, p in _covariate_rasters(config.covariate_paths).items():
+    for name, p in covariate_rasters(config.covariate_paths).items():
         if not Path(p).exists():
             raise FileNotFoundError("covariate raster not found: %s" % p)
         covariates[name] = io.read_ascii_grid(p, window=config.window)

@@ -278,12 +278,13 @@ def _mark_model(dgp: SyntheticDGP,
 
 
 def _mark_covariates(dgp: SyntheticDGP, model: MediatorScoreModel,
-                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Mark-model covariate rows read off the DGP rasters at cells (rows, cols)."""
+                     cells=slice(None)) -> np.ndarray:
+    """Mark-model covariate rows read off the DGP rasters at flat cell indices
+    ``cells`` (every cell by default)."""
     names = model.covariate_names
     if not names:
-        return np.zeros((len(rows), 0))
-    return np.column_stack([dgp.covariates[n].values[rows, cols] for n in names])
+        return np.zeros((dgp.grid.n_cells, 0))[cells]
+    return np.column_stack([dgp.covariates[n].values.ravel()[cells] for n in names])
 
 
 def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
@@ -319,7 +320,8 @@ def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
         for j in range(L):
             pat = sample_pattern(iv.treatment, rng, time=j + 1, offset=j)
             if model is not None and len(pat):
-                X = _mark_covariates(dgp, model, *grid.cell_index(pat.points))
+                row, col = grid.cell_index(pat.points)
+                X = _mark_covariates(dgp, model, row * grid.nx + col)
                 probs = model.category_probabilities(X, shift=iv.mediator)
                 marks = sample_marks(probs, rng)
             else:
@@ -421,7 +423,7 @@ def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
                            y0 + (rows + u[:, 1]) * grid.dy])
 
     if use_marks:
-        X = _mark_covariates(dgp, model, rows, cols)
+        X = _mark_covariates(dgp, model, idx)
         p = model.category_probabilities(X, shift=ivA.mediator)[dgp.mediator_positive]
         active = (rng.uniform(size=n_draws) < p).astype(float)
     else:
@@ -448,9 +450,7 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
     rng = np.random.default_rng(seed)
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()
-    model = _mark_model(dgp, mediator_model)
-    if model is None:
-        raise ValueError("DGP has no mediator rule")
+    model = mediator_model if mediator_model is not None else dgp.true_mediator_model()
     positive = dgp.mediator_positive
 
     diffs = np.zeros(n_draws)
@@ -462,7 +462,8 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
             lag = L - 1 - j
             if len(pat) == 0 or lag not in contributing:
                 continue
-            X = _mark_covariates(dgp, model, *grid.cell_index(pat.points))
+            row, col = grid.cell_index(pat.points)
+            X = _mark_covariates(dgp, model, row * grid.nx + col)
             pA = model.category_probabilities(X, shift=ivA.mediator)[positive]
             pB = model.category_probabilities(X, shift=ivB.mediator)[positive]
             u = rng.uniform(size=len(pat))
@@ -507,7 +508,7 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
         field = exact_expected_spillover(dgp, lam)
         total += c * float(np.sum(field[region_mask])) * area
         if model is not None and dgp.mediator_bonus != 0.0:
-            X = _mark_covariates(dgp, model, *np.divmod(np.arange(grid.n_cells), grid.nx))
+            X = _mark_covariates(dgp, model)
             p_active = model.category_probabilities(X, shift=iv.mediator)[
                 dgp.mediator_positive]
             bonus_field = exact_expected_spillover(
