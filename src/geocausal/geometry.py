@@ -171,9 +171,11 @@ class RasterGrid:
         """Map points to containing (row, col); edge coordinates clip inward."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x0, y0, _, _ = self.window.bounds
-        col = np.clip(np.floor((pts[:, 0] - x0) / self.dx).astype(int), 0, self.nx - 1)
-        row = np.clip(np.floor((pts[:, 1] - y0) / self.dy).astype(int), 0, self.ny - 1)
-        return row, col
+        col = np.floor((pts[:, 0] - x0) / self.dx).astype(int)
+        row = np.floor((pts[:, 1] - y0) / self.dy).astype(int)
+        # np.minimum/np.maximum: the same integers as np.clip, with less overhead
+        return (np.minimum(np.maximum(row, 0), self.ny - 1),
+                np.minimum(np.maximum(col, 0), self.nx - 1))
 
     def same_geometry(self, other: "RasterGrid") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
@@ -210,6 +212,8 @@ class Region:
     polygon: np.ndarray | None = None
     cell_mask: np.ndarray | None = None
     label: str = "region"
+    # (grid, mask) of the last resolve_mask call
+    _resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.polygon is None) == (self.cell_mask is None):
@@ -229,7 +233,13 @@ class Region:
         return cls(cell_mask=grid.mask, label="window")
 
     def resolve_mask(self, grid: RasterGrid) -> np.ndarray:
-        """Boolean (ny, nx) mask of cells whose centers lie in the region."""
+        """Boolean (ny, nx) mask of cells whose centers lie in the region.
+
+        The mask is read-only; the last one resolved is kept for its grid, so
+        repeated calls with the same grid object return the same array.
+        """
+        if self._resolved is not None and self._resolved[0] is grid:
+            return self._resolved[1]
         if self.cell_mask is not None:
             if self.cell_mask.shape != (grid.ny, grid.nx):
                 raise ValueError("region cell mask does not match the grid shape")
@@ -239,6 +249,8 @@ class Region:
             mask = inside.reshape(grid.ny, grid.nx) & grid.mask
         if not mask.any():
             raise ValueError("region is empty on this grid")
+        mask.setflags(write=False)
+        object.__setattr__(self, "_resolved", (grid, mask))
         return mask
 
 

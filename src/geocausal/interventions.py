@@ -12,7 +12,7 @@ multiply the odds of one mark category by a factor delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,10 @@ class TreatmentIntervention:
     intensity: Raster | list[Raster]
     expected_count: float
     integrals: tuple[float, ...] = None
+    # per raster: its cell masses as multinomial probabilities (None if the
+    # raster has no mass), what sample_pattern draws cells from
+    cell_probabilities: tuple = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         rasters = self.rasters
@@ -48,6 +52,8 @@ class TreatmentIntervention:
         if not self.expected_count >= 0:
             raise ValueError("expected_count must be nonnegative")
         object.__setattr__(self, "integrals", totals)
+        object.__setattr__(self, "cell_probabilities",
+                           tuple(_cell_probabilities(r) for r in rasters))
 
     @property
     def rasters(self) -> list[Raster]:
@@ -61,6 +67,16 @@ class TreatmentIntervention:
     @property
     def grid(self) -> RasterGrid:
         return self.rasters[0].grid
+
+
+def _cell_probabilities(raster: Raster) -> np.ndarray | None:
+    mass = (raster.values * raster.grid.cell_area).ravel()
+    total = mass.sum()
+    if total <= 0:
+        return None
+    probs = mass / total
+    probs.setflags(write=False)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -183,16 +199,14 @@ def log_intervention_density(iv: TreatmentIntervention, pattern: PointPattern,
 def sample_pattern(iv: TreatmentIntervention, rng: np.random.Generator,
                    time: int = 1, offset: int = 0) -> PointPattern:
     """Draw one pattern: Poisson count, cells by multinomial, uniform jitter."""
-    raster = iv.raster_for_offset(offset)
-    grid = raster.grid
+    grid = iv.raster_for_offset(offset).grid
     n = int(rng.poisson(iv.expected_count))
     if n == 0:
         return PointPattern(time=time, points=np.zeros((0, 2)), window=grid.window)
-    mass = (raster.values * grid.cell_area).ravel()
-    total = mass.sum()
-    if total <= 0:
+    probs = iv.cell_probabilities[offset % len(iv.cell_probabilities)]
+    if probs is None:
         return PointPattern(time=time, points=np.zeros((0, 2)), window=grid.window)
-    counts = rng.multinomial(n, mass / total)
+    counts = rng.multinomial(n, probs)
     idx = np.repeat(np.arange(grid.n_cells), counts)
     rows, cols = idx // grid.nx, idx % grid.nx
     x0, y0, _, _ = grid.window.bounds

@@ -287,6 +287,13 @@ def _mark_covariates(dgp: SyntheticDGP, model: MediatorScoreModel,
     return np.column_stack([dgp.covariates[n].values.ravel()[cells] for n in names])
 
 
+def _check_draws(n_draws: int, L: int, *pairs: InterventionPair) -> None:
+    if n_draws < 100:
+        raise ValueError("use at least 100 oracle draws")
+    if any(L != iv.L for iv in pairs):
+        raise ValueError("L disagrees with the intervention pair")
+
+
 def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
               region: Region, n_draws: int, seed,
               mediator_model: MediatorScoreModel | None = None) -> OracleResult:
@@ -298,10 +305,7 @@ def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
     sampling is needed.  ``mediator_model`` is the base score the mediator
     shift applies to; default is the DGP's own (true) mark rule.
     """
-    if n_draws < 100:
-        raise ValueError("use at least 100 oracle draws")
-    if L != iv.L:
-        raise ValueError("L disagrees with the intervention pair")
+    _check_draws(n_draws, L, iv)
     rng = np.random.default_rng(seed)
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()
@@ -355,8 +359,10 @@ def oracle_effect(dgp: SyntheticDGP, history, ivA: InterventionPair,
     treatment intervention (a pure mediator contrast), the draws are coupled:
     one treatment path per draw and one uniform per point deciding the mark
     under both shifted distributions, which removes almost all of the
-    Monte-Carlo variance of the difference.
+    Monte-Carlo variance of the difference.  Every path needs at least 100
+    draws and an ``L`` that both pairs share.
     """
+    _check_draws(n_draws, L, ivA, ivB)
     if ivA.treatment is ivB.treatment and dgp.mediator_bonus != 0.0:
         return _oracle_effect_coupled(dgp, ivA, ivB, L, region, n_draws, seed,
                                       mediator_model=mediator_model)
@@ -446,36 +452,47 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
                            n_draws: int, seed,
                            mediator_model: MediatorScoreModel | None = None
                            ) -> tuple[float, float]:
-    """Mediator-only contrast with common treatment draws and coupled marks."""
+    """Mediator-only contrast with common treatment draws and coupled marks.
+
+    Every draw is made first, in per-draw order: one treatment pattern per
+    window period, then one uniform per point of each contributing non-empty
+    pattern.  Marks are then evaluated once over all kept points, and kernel
+    masses only for the patterns with a flipped mark.
+    """
     rng = np.random.default_rng(seed)
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()
     model = mediator_model if mediator_model is not None else dgp.true_mediator_model()
     positive = dgp.mediator_positive
 
-    diffs = np.zeros(n_draws)
     contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
+    kept = []  # (draw, points, uniforms) in draw order
     for d in range(n_draws):
-        total = 0.0
         for j in range(L):
             pat = sample_pattern(ivA.treatment, rng, time=j + 1, offset=j)
-            lag = L - 1 - j
-            if len(pat) == 0 or lag not in contributing:
-                continue
-            row, col = grid.cell_index(pat.points)
-            X = _mark_covariates(dgp, model, row * grid.nx + col)
-            pA = model.category_probabilities(X, shift=ivA.mediator)[positive]
-            pB = model.category_probabilities(X, shift=ivB.mediator)[positive]
-            u = rng.uniform(size=len(pat))
-            # One uniform per point decides the mark under both shifts: the
-            # carryover term cancels and only flipped marks contribute.
-            delta_active = (u < pA).astype(float) - (u < pB).astype(float)
-            if np.any(delta_active != 0.0):
-                mass = _region_kernel_mass(dgp, region_mask, pat.points)
-                total += float(np.sum(dgp.mediator_bonus * delta_active * mass))
-        diffs[d] = total
+            if len(pat) and L - 1 - j in contributing:
+                kept.append((d, pat.points, rng.uniform(size=len(pat))))
+
+    diffs = np.zeros(n_draws)
+    if kept:
+        points = np.concatenate([pts for _, pts, _ in kept])
+        u = np.concatenate([uu for _, _, uu in kept])
+        row, col = grid.cell_index(points)
+        X = _mark_covariates(dgp, model, row * grid.nx + col)
+        pA = model.category_probabilities(X, shift=ivA.mediator)[positive]
+        pB = model.category_probabilities(X, shift=ivB.mediator)[positive]
+        # One uniform per point decides the mark under both shifts: the
+        # carryover term cancels and only flipped marks contribute.
+        delta_active = (u < pA).astype(float) - (u < pB).astype(float)
+        start = 0
+        for d, pts, _ in kept:
+            delta = delta_active[start:start + len(pts)]
+            start += len(pts)
+            if np.any(delta != 0.0):
+                mass = _region_kernel_mass(dgp, region_mask, pts)
+                diffs[d] += float(np.sum(dgp.mediator_bonus * delta * mass))
     mean = float(np.mean(diffs))
-    se = float(np.std(diffs, ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
+    se = float(np.std(diffs, ddof=1) / math.sqrt(n_draws))
     return mean, se
 
 

@@ -168,6 +168,58 @@ def test_integrate_grid_mismatch_error():
         integrate_raster(raster, region)
 
 
+def test_cell_index_floor_rule_and_clip_on_non_square_grid():
+    # 5 columns of width 2 and 3 rows of height 1 over x in [1, 11], y in [-2, 1]
+    grid = build_grid(SpatialWindow(bounds=(1.0, -2.0, 11.0, 1.0)), 5, 3)
+    pts = np.array([
+        [1.0, -2.0],     # (x0, y0)
+        [11.0, 1.0],     # (x1, y1): far edges clip inward
+        [11.0, -2.0],
+        [1.0, 1.0],
+        [3.0, -1.0],     # interior boundaries belong to the upper cell
+        [9.0, 0.0],
+        [5.0, 0.5],
+        [10.999, 0.999],
+        [0.5, -3.0],     # outside the window: clipped to the nearest cell
+        [12.0, 2.0],
+    ])
+    row, col = grid.cell_index(pts)
+    assert row.tolist() == [0, 2, 0, 2, 1, 2, 2, 2, 0, 2]
+    assert col.tolist() == [0, 4, 4, 0, 1, 4, 2, 4, 0, 4]
+
+
+def test_resolve_mask_is_cached_read_only_per_grid():
+    window = SpatialWindow(bounds=(0.0, 0.0, 4.0, 4.0))
+    coarse, fine = build_grid(window, 4, 4), build_grid(window, 8, 6)
+    poly = np.array([[0.9, 0.9], [3.1, 0.9], [3.1, 2.6], [0.9, 2.6]])
+    region = Region(polygon=poly)
+
+    def direct(grid):
+        inside = points_in_polygon(grid.cell_centers(), poly)
+        return inside.reshape(grid.ny, grid.nx) & grid.mask
+
+    first = region.resolve_mask(coarse)
+    assert region.resolve_mask(coarse) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = True
+    # alternating grids, as the pipeline's resolution check does
+    for grid in (fine, coarse, fine, coarse):
+        mask = region.resolve_mask(grid)
+        assert mask.shape == (grid.ny, grid.nx)
+        assert np.array_equal(mask, direct(grid))
+        assert not mask.flags.writeable
+
+
+def test_resolve_mask_empty_region_raises_every_call():
+    grid = build_grid(unit_window(), 4, 4)
+    # a sliver between cell centers contains none of them
+    sliver = Region(polygon=np.array([[0.3, 0.3], [0.6, 0.3], [0.6, 0.35]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty"):
+            sliver.resolve_mask(grid)
+
+
 def test_integrate_refinement_oracle_gaussian_bump():
     # quadrature-refinement oracle: doubling the resolution moves a smooth
     # integrand's midpoint integral by less than 1e-3 relative

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from geocausal import simulate
 from geocausal.geometry import Raster, integrate_raster, normalize_raster
-from geocausal.interventions import InterventionPair, MediatorIntervention, intensified
+from geocausal.interventions import (
+    InterventionPair,
+    MediatorIntervention,
+    intensified,
+    sample_pattern,
+)
 from geocausal.simulate import (
     exact_expected_spillover,
     expected_region_outcome,
@@ -88,6 +94,50 @@ def test_oracle_identical_interventions_zero():
     iv = InterventionPair(intensified(baseline, 0.12), L=3)
     tau, se = oracle_effect(dgp, [], iv, iv, 3, region, 2000, 3)
     assert abs(tau) <= max(3 * se, 1e-12)
+
+
+def _oracle_pairs(path: str, L: int = 2):
+    dgp = default_dgp(mediator=True, mediator_bonus=6.0)
+    baseline = normalize_raster(dgp.treatment_intensity())
+    iv = intensified(baseline, 0.5)
+    med = MediatorIntervention(2.5, "hit")
+    if path == "coupled":      # one treatment intervention, two mediator shifts
+        return dgp, InterventionPair(iv, med, L=L), InterventionPair(iv, None, L=L)
+    other = intensified(baseline, 0.2)
+    if path == "thinned":      # same shape and shift, larger count under A
+        return dgp, InterventionPair(iv, med, L=L), InterventionPair(other, med, L=L)
+    return dgp, InterventionPair(other, med, L=L), InterventionPair(iv, None, L=L)
+
+
+@pytest.mark.parametrize("path", ["coupled", "thinned", "plain"])
+def test_oracle_effect_checks_draws_and_L_on_every_path(path):
+    dgp, pairA, pairB = _oracle_pairs(path)
+    region = interior_region(dgp.grid)
+    for n_draws in (0, 1, 99):
+        with pytest.raises(ValueError, match="100 oracle draws"):
+            oracle_effect(dgp, [], pairA, pairB, 2, region, n_draws, 1)
+    with pytest.raises(ValueError, match="L disagrees"):
+        oracle_effect(dgp, [], pairA, pairB, 3, region, 200, 1)
+    _, _, pairB3 = _oracle_pairs(path, L=3)
+    with pytest.raises(ValueError, match="L disagrees"):
+        oracle_effect(dgp, [], pairA, pairB3, 2, region, 200, 1)
+
+
+def test_coupled_oracle_draws_are_pinned(monkeypatch):
+    # The draw order and the random stream are part of the oracle's contract:
+    # n_draws * L treatment patterns in draw order, and these exact bits.
+    dgp, pairA, pairB = _oracle_pairs("coupled")
+    region = interior_region(dgp.grid)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_pattern(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample_pattern", counted)
+    tau, se = oracle_effect(dgp, [], pairA, pairB, 2, region, 400, 3)
+    assert (tau.hex(), se.hex()) == ("0x1.9720d920e6a18p-2", "0x1.23726dda43e95p-4")
+    assert len(calls) == 400 * 2
 
 
 def test_oracle_against_closed_form():
