@@ -14,8 +14,6 @@ from .validation import EstimatorConfig, coverage_experiment, default_dgp
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="run configuration JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; runs are single-threaded")
     p.add_argument("--out", type=Path, default=None, help="override the output dir")
 
 
@@ -82,6 +80,8 @@ def main(argv=None) -> int:
     for name, est in (("ate", ["ate"]), ("cate", ["cate"]), ("mediate", ["mediate"])):
         p = sub.add_parser(name, help="estimate %s" % name)
         p.add_argument("--L", help="intervention length(s), e.g. 3 or 1..14")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; runs are single-threaded")
         _add_common(p)
 
     p = sub.add_parser("simulate", help="write a synthetic data set")
@@ -96,7 +96,6 @@ def main(argv=None) -> int:
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("validation"))
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("report", help="render SVG figures from results.json")
     p.add_argument("--results", type=Path, required=True)

@@ -320,8 +320,6 @@ def estimate_ate(series: PatternSeries, propensity: FittedPropensity,
                  ivA: InterventionPair, ivB: InterventionPair,
                  spec: SmoothingSpec, region: Region, L: int | None = None,
                  smoothed: SmoothedOutcomes | None = None,
-                 weightsA: WeightSeries | None = None,
-                 weightsB: WeightSeries | None = None,
                  truncation: float | None = None) -> EffectEstimate:
     """ATE of intervention A versus B over the region: tau = N(A) - N(B)."""
     L = L if L is not None else ivA.L
@@ -330,11 +328,9 @@ def estimate_ate(series: PatternSeries, propensity: FittedPropensity,
     if L != ivA.L:
         raise ValueError("L disagrees with the intervention pair")
     smoothed = smoothed or SmoothedOutcomes(series, spec)
-    wA = weightsA or compute_weight_series(series, propensity, ivA.treatment, L)
-    wB = weightsB if weightsB is not None else (
-        wA if ivB.treatment is ivA.treatment
-        else compute_weight_series(series, propensity, ivB.treatment, L)
-    )
+    wA = compute_weight_series(series, propensity, ivA.treatment, L)
+    wB = (wA if ivB.treatment is ivA.treatment
+          else compute_weight_series(series, propensity, ivB.treatment, L))
     estimate = _estimate_from_weights(smoothed, region, wA, wB, L)
     if truncation is not None:
         trunc = _estimate_from_weights(

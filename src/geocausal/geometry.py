@@ -167,6 +167,15 @@ class RasterGrid:
         xx, yy = np.meshgrid(self.x_centers(), self.y_centers())
         return np.column_stack([xx.ravel(), yy.ravel()])
 
+    def jittered_points(self, cells: np.ndarray, ux: np.ndarray,
+                        uy: np.ndarray) -> np.ndarray:
+        """Points in flat cells ``cells`` at in-cell offsets ``(ux, uy)`` in
+        [0, 1), shape ``(n, 2)``."""
+        x0, y0, _, _ = self.window.bounds
+        rows, cols = cells // self.nx, cells % self.nx
+        return np.column_stack([x0 + (cols + ux) * self.dx,
+                                y0 + (rows + uy) * self.dy])
+
     def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points to containing (row, col); edge coordinates clip inward."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -206,13 +206,18 @@ def sample_pattern(iv: TreatmentIntervention, rng: np.random.Generator,
     probs = iv.cell_probabilities[offset % len(iv.cell_probabilities)]
     if probs is None:
         return PointPattern(time=time, points=np.zeros((0, 2)), window=grid.window)
-    counts = rng.multinomial(n, probs)
-    idx = np.repeat(np.arange(grid.n_cells), counts)
-    rows, cols = idx // grid.nx, idx % grid.nx
-    x0, y0, _, _ = grid.window.bounds
-    xs = x0 + (cols + rng.uniform(size=n)) * grid.dx
-    ys = y0 + (rows + rng.uniform(size=n)) * grid.dy
-    return PointPattern(time=time, points=np.column_stack([xs, ys]), window=grid.window)
+    cells = np.repeat(np.arange(grid.n_cells), rng.multinomial(n, probs))
+    points = grid.jittered_points(cells, rng.uniform(size=n), rng.uniform(size=n))
+    return PointPattern(time=time, points=points, window=grid.window)
+
+
+def choose_marks(probs: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Each point's mark as an index into ``sorted(probs)``, from uniforms
+    ``u`` already drawn: the first category whose cumulative probability
+    reaches the point's uniform."""
+    cats = sorted(probs)
+    cum = np.cumsum(np.column_stack([probs[c] for c in cats]), axis=1)
+    return np.minimum(np.sum(u[:, None] > cum, axis=1), len(cats) - 1)
 
 
 def sample_marks(probs: dict[str, np.ndarray], rng: np.random.Generator) -> tuple[str, ...]:
@@ -226,12 +231,7 @@ def sample_marks(probs: dict[str, np.ndarray], rng: np.random.Generator) -> tupl
     cats = sorted(probs)
     if not cats:
         return ()
-    stacked = np.column_stack([probs[c] for c in cats])
-    n = stacked.shape[0]
+    n = np.column_stack([probs[c] for c in cats]).shape[0]
     if n == 0:
         return ()
-    u = rng.uniform(size=n)
-    cum = np.cumsum(stacked, axis=1)
-    choice = np.sum(u[:, None] > cum, axis=1)
-    choice = np.minimum(choice, len(cats) - 1)
-    return tuple(cats[i] for i in choice)
+    return tuple(cats[i] for i in choose_marks(probs, rng.uniform(size=n)))

@@ -309,9 +309,7 @@ def fit_diagnostics(fit: FittedPropensity, series: PatternSeries,
                                   _truncated_options(fit.options, n_train))
     # Out-of-sample prediction needs indicator values past the training window.
     refit._indicators = fit.options.period_indicators
-    out_expected = np.array([
-        _expected_under(refit, series, t) for t in periods
-    ])
+    out_expected = np.array([refit.intensity_integral(series, t) for t in periods])
     out_resid = observed - out_expected
 
     hold = periods > n_train
@@ -344,10 +342,3 @@ def _truncated_options(options: PropensityOptions, n: int) -> PropensityOptions:
                              period_indicators=ind, ridge=options.ridge,
                              tol=options.tol, max_iter=options.max_iter)
 
-
-def _expected_under(refit: FittedPropensity, series: PatternSeries, t: int) -> float:
-    covs = {n: series.covariate(n, t) for n in refit.model.covariate_names}
-    needs_t = refit.model.time_spline is not None or refit.model.indicator_coef
-    raster = predict_intensity(refit, covs, t=t if needs_t else None,
-                               grid=series.grid)
-    return integrate_raster(raster)

@@ -13,6 +13,12 @@ from the estimators' smoothing bandwidth.  Because the rule is linear in
 event mass, the expected outcome count under an intervention is an intensity
 integral: the oracle draws (W, M) paths for the L intervention periods and
 accumulates the integral analytically, never sampling outcomes.
+
+The simulator and the per-draw oracles (plain and coupled) share one
+draw-first loop, :func:`_draw_windows`: every treatment pattern and mark
+uniform is drawn first, in a fixed order, and marks are then chosen once over
+all kept points by one rule (:func:`~geocausal.interventions.choose_marks`
+applied to those uniforms).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .glm import GLMFit
 from .interventions import (
     InterventionPair,
     TreatmentIntervention,
-    sample_marks,
+    choose_marks,
     sample_pattern,
 )
 from .mediation import MediatorScoreModel, binary_tree
@@ -86,18 +92,6 @@ class SyntheticDGP:
         lam = self.treatment_intensity()
         return TreatmentIntervention(intensity=lam, expected_count=integrate_raster(lam))
 
-    def mark_probability(self, points: np.ndarray) -> np.ndarray:
-        """True P(mark = positive) at event locations."""
-        if self.mediator_coef is None:
-            return np.zeros(points.shape[0])
-        row, col = self.grid.cell_index(points)
-        eta = np.full(points.shape[0], self.mediator_coef.get("intercept", 0.0))
-        for name, coef in self.mediator_coef.items():
-            if name == "intercept":
-                continue
-            eta = eta + coef * self.covariates[name].values[row, col]
-        return 1.0 / (1.0 + np.exp(-eta))
-
     def true_mediator_model(self) -> MediatorScoreModel:
         """The DGP's logistic mark rule packaged as a one-stage score model."""
         if self.mediator_coef is None:
@@ -113,18 +107,9 @@ class SyntheticDGP:
             covariate_names=names, fits=[fit],
         )
 
-    def spillover_kernel(self, targets: np.ndarray, source: np.ndarray) -> np.ndarray:
-        """Gaussian spillover density at target cells from one source point."""
-        diff = targets - source[None, :]
-        d2 = np.sum(diff * diff, axis=1)
-        s2 = self.spillover_range ** 2
-        return np.exp(-0.5 * d2 / s2) / (2.0 * math.pi * s2)
-
     def spillover_fields(self, points: np.ndarray) -> np.ndarray:
-        """Per-source spillover surfaces on the grid, shape (n, ny*nx).
-
-        Separable evaluation of :meth:`spillover_kernel` at all cell centers.
-        """
+        """Per-source spillover surfaces on the grid, shape (n, ny*nx): the
+        Gaussian density k_rho at every cell center, evaluated separably."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         rho = self.spillover_range
         gx = np.exp(-0.5 * ((self.grid.x_centers()[None, :] - pts[:, 0:1]) / rho) ** 2)
@@ -169,72 +154,87 @@ def exact_expected_spillover(dgp: SyntheticDGP, source: np.ndarray) -> np.ndarra
     return (Ky @ lam @ Kx.T).ravel()
 
 
-def _event_bonus(marks, positive: str) -> np.ndarray:
-    return np.array([1.0 if m == positive else 0.0 for m in marks])
+def _draw_windows(treatment: TreatmentIntervention, rng: np.random.Generator,
+                  n_draws: int, L: int, marked) -> list:
+    """Per draw and window offset j: one :func:`sample_pattern` call (through
+    the module global), then one uniform per point of a non-empty pattern at
+    an offset in ``marked``.  Returns ``(draw, offset, pattern, uniforms)``
+    per non-empty pattern in draw order (uniforms None where unmarked)."""
+    kept = []
+    for d in range(n_draws):
+        for j in range(L):
+            pat = sample_pattern(treatment, rng, time=j + 1, offset=j)
+            if len(pat):
+                kept.append((d, j, pat, rng.uniform(size=len(pat)) if j in marked else None))
+    return kept
+
+
+def _kept_marks(dgp: SyntheticDGP, model: MediatorScoreModel, kept):
+    """Mark-model covariate rows and mark uniforms of all kept points."""
+    row, col = dgp.grid.cell_index(np.concatenate([pat.points for _, _, pat, _ in kept]))
+    return (_mark_covariates(dgp, model, row * dgp.grid.nx + col),
+            np.concatenate([u for *_, u in kept]))
+
+
+def _positive(dgp: SyntheticDGP, model: MediatorScoreModel, X: np.ndarray,
+              u: np.ndarray, shift) -> np.ndarray:
+    """1.0 where the mark rule picks the DGP's positive category, else 0.0."""
+    probs = model.category_probabilities(X, shift=shift)
+    return (choose_marks(probs, u) == sorted(probs).index(dgp.mediator_positive)
+            ).astype(float)
 
 
 def simulate_series(dgp: SyntheticDGP, T: int, seed) -> PatternSeries:
     """Generate a series; bit-reproducible for a given seed.
 
-    Treatments and marks are drawn sequentially over periods, then outcome
-    counts for all periods are drawn in one batch (outcomes never feed back
-    into the treatment process, so the factorization is exact).
+    Treatments (with their mark uniforms) are one T-period window draw, then
+    outcome counts for all periods are drawn in one batch (outcomes never
+    feed back into the treatment process, so the factorization is exact).
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     rng = np.random.default_rng(seed)
     grid = dgp.grid
-    lam = dgp.treatment_intensity()
-    lam_iv = TreatmentIntervention(intensity=lam, expected_count=integrate_raster(lam))
-    area = grid.cell_area
-    mu0_flat = dgp.mu0.values.ravel()
-    window = grid.window
+    marked = dgp.mediator_coef is not None
+    kept = _draw_windows(dgp.propensity_intervention(), rng, 1, T,
+                         range(T) if marked else ())
+    active = np.zeros(sum(len(pat) for _, _, pat, _ in kept))
+    if marked and kept:
+        model = dgp.true_mediator_model()
+        active = _positive(dgp, model, *_kept_marks(dgp, model, kept), None)
 
-    treatments: list[MarkedPointPattern] = []
-    mu = np.tile(mu0_flat, (T, 1))
-    for t in range(1, T + 1):
-        w_pat = sample_pattern(lam_iv, rng, time=t)
-        if dgp.mediator_coef is not None and len(w_pat):
-            p = dgp.mark_probability(w_pat.points)
-            marks = sample_marks({dgp.mediator_positive: p,
-                                  dgp.mediator_negative: 1.0 - p}, rng)
-        else:
-            marks = tuple(dgp.mediator_negative for _ in range(len(w_pat)))
-        treatments.append(MarkedPointPattern(base=w_pat, marks=marks))
-        if dgp.max_lag > 0 and len(w_pat):
-            fields = dgp.spillover_fields(w_pat.points)
-            active = _event_bonus(marks, dgp.mediator_positive)
-            coef = np.array(dgp.carryover)
+    treatments: list[MarkedPointPattern | None] = [None] * T
+    mu = np.tile(dgp.mu0.values.ravel(), (T, 1))
+    coef = np.array(dgp.carryover)
+    start = 0
+    for _, j, pat, _ in kept:
+        act = active[start:start + len(pat)]
+        start += len(pat)
+        marks = tuple(dgp.mediator_positive if a else dgp.mediator_negative for a in act)
+        treatments[j] = MarkedPointPattern(base=pat, marks=marks)
+        if dgp.max_lag > 0:
+            fields = dgp.spillover_fields(pat.points)
             gain = fields.sum(axis=0)
-            bonus_gain = (fields * active[:, None]).sum(axis=0) if active.any() else None
+            bonus_gain = (fields * act[:, None]).sum(axis=0) if act.any() else None
             for lag, c in enumerate(coef, start=1):
-                tt = t + lag
+                tt = j + 1 + lag
                 if tt > T:
                     break
                 mu[tt - 1] += c * gain
                 if bonus_gain is not None:
                     mu[tt - 1] += dgp.mediator_bonus * bonus_gain
+    empty = np.zeros((0, 2))
+    treatments = [MarkedPointPattern(PointPattern(t, empty, grid.window), ())
+                  if w is None else w for t, w in enumerate(treatments, start=1)]
 
-    counts = rng.poisson(mu * area)
-    total = int(counts.sum())
-    jitter = rng.uniform(size=(total, 2))
-    outcomes: list[PointPattern] = []
-    x0, y0, _, _ = window.bounds
-    pos = 0
-    for t in range(1, T + 1):
-        row_counts = counts[t - 1]
-        idx = np.repeat(np.arange(grid.n_cells), row_counts)
-        n_y = idx.size
-        if n_y:
-            rows, cols = idx // grid.nx, idx % grid.nx
-            u = jitter[pos:pos + n_y]
-            pts = np.column_stack([x0 + (cols + u[:, 0]) * grid.dx,
-                                   y0 + (rows + u[:, 1]) * grid.dy])
-        else:
-            pts = np.zeros((0, 2))
-        pos += n_y
-        outcomes.append(PointPattern(time=t, points=pts, window=window))
-
+    counts = rng.poisson(mu * grid.cell_area)
+    jitter = rng.uniform(size=(int(counts.sum()), 2))
+    flat = np.flatnonzero(counts)
+    cells = np.repeat(flat % grid.n_cells, counts.ravel()[flat])
+    points = np.split(grid.jittered_points(cells, jitter[:, 0], jitter[:, 1]),
+                      np.cumsum(counts.sum(axis=1))[:-1])
+    outcomes = [PointPattern(time=t, points=pts, window=grid.window)
+                for t, pts in enumerate(points, start=1)]
     return PatternSeries(grid, treatments, outcomes, dict(dgp.covariates))
 
 
@@ -245,6 +245,14 @@ def _region_kernel_mass(dgp: SyntheticDGP, region_mask: np.ndarray,
         return np.zeros(0)
     fields = dgp.spillover_fields(points)
     return fields[:, region_mask].sum(axis=1) * dgp.grid.cell_area
+
+
+def _pattern_mass(dgp: SyntheticDGP, region_mask: np.ndarray, points: np.ndarray,
+                  c: float, active: np.ndarray) -> float:
+    """One pattern's share of the region's intensity integral at carryover
+    coefficient ``c``: sum over points of (c + bonus * active) * kernel mass."""
+    mass = _region_kernel_mass(dgp, region_mask, points)
+    return float(np.sum((c + dgp.mediator_bonus * active) * mass))
 
 
 def _history_contribution(dgp: SyntheticDGP, region_mask: np.ndarray,
@@ -260,12 +268,11 @@ def _history_contribution(dgp: SyntheticDGP, region_mask: np.ndarray,
         pat = history[-back]
         if len(pat) == 0:
             continue
-        mass = _region_kernel_mass(dgp, region_mask, pat.points)
         if isinstance(pat, MarkedPointPattern):
-            bonus = _event_bonus(pat.marks, dgp.mediator_positive)
+            bonus = np.array([1.0 if m == dgp.mediator_positive else 0.0 for m in pat.marks])
         else:
             bonus = np.zeros(len(pat))
-        out += float(np.sum((c + dgp.mediator_bonus * bonus) * mass))
+        out += _pattern_mass(dgp, region_mask, pat.points, c, bonus)
     return out
 
 
@@ -303,46 +310,37 @@ def mc_oracle(dgp: SyntheticDGP, history, iv: InterventionPair, L: int,
     rolls the known outcome intensity forward, and accumulates the intensity
     integral analytically (the expectation of a Poisson count), so no outcome
     sampling is needed.  ``mediator_model`` is the base score the mediator
-    shift applies to; default is the DGP's own (true) mark rule.
+    shift applies to; default is the DGP's own (true) mark rule.  All draws
+    come first (mark uniforms at every offset when there is a mark model);
+    marks are then chosen once over the points that reach the final period.
     """
     _check_draws(n_draws, L, iv)
     rng = np.random.default_rng(seed)
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()
-    mu0_region = float(np.sum(dgp.mu0.values.ravel()[region_mask]) * grid.cell_area)
-    det = mu0_region + _history_contribution(dgp, region_mask, list(history), L)
+    det = (float(np.sum(dgp.mu0.values.ravel()[region_mask]) * grid.cell_area)
+           + _history_contribution(dgp, region_mask, list(history), L))
 
     model = _mark_model(dgp, mediator_model)
+    # offset j has lag L-1-j; only lags 1..L-1 with a coefficient contribute
+    offsets = {L - 1 - lag for lag in range(1, min(dgp.max_lag, L - 1) + 1)}
+    kept = [k for k in _draw_windows(iv.treatment, rng, n_draws, L,
+                                     range(L) if model is not None else ())
+            if k[1] in offsets]
+    active = np.zeros(sum(len(pat) for _, _, pat, _ in kept))
+    if model is not None and kept:
+        active = _positive(dgp, model, *_kept_marks(dgp, model, kept), iv.mediator)
 
     draws = np.zeros(n_draws)
-    contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
-    for d in range(n_draws):
-        total = 0.0
-        # Window periods are drawn in order; period at offset j has lag L-1-j
-        # from the final period.
-        patterns = []
-        for j in range(L):
-            pat = sample_pattern(iv.treatment, rng, time=j + 1, offset=j)
-            if model is not None and len(pat):
-                row, col = grid.cell_index(pat.points)
-                X = _mark_covariates(dgp, model, row * grid.nx + col)
-                probs = model.category_probabilities(X, shift=iv.mediator)
-                marks = sample_marks(probs, rng)
-            else:
-                marks = tuple(dgp.mediator_negative for _ in range(len(pat)))
-            patterns.append((pat, marks))
-        for lag in contributing:
-            c = dgp.carryover[lag - 1]
-            pat, marks = patterns[L - 1 - lag]
-            if len(pat) == 0:
-                continue
-            mass = _region_kernel_mass(dgp, region_mask, pat.points)
-            bonus = _event_bonus(marks, dgp.mediator_positive)
-            total += float(np.sum((c + dgp.mediator_bonus * bonus) * mass))
-        draws[d] = total
+    end = active.size
+    for d, j, pat, _ in reversed(kept):   # backwards: each draw's lags ascend
+        start = end - len(pat)
+        draws[d] += _pattern_mass(dgp, region_mask, pat.points,
+                                  dgp.carryover[L - 2 - j], active[start:end])
+        end = start
 
     stoch = float(np.mean(draws))
-    se = float(np.std(draws, ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
+    se = float(np.std(draws, ddof=1) / math.sqrt(n_draws))
     return OracleResult(value=det + stoch, se=se, n_draws=n_draws,
                         deterministic=det, stochastic_mean=stoch)
 
@@ -422,16 +420,12 @@ def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
     p_cells = mass_cells / mass_cells.sum()
     counts = rng.multinomial(n_draws, p_cells)
     idx = np.repeat(np.arange(grid.n_cells), counts)
-    rows, cols = idx // grid.nx, idx % grid.nx
-    x0, y0, _, _ = grid.window.bounds
     u = rng.uniform(size=(n_draws, 2))
-    pts = np.column_stack([x0 + (cols + u[:, 0]) * grid.dx,
-                           y0 + (rows + u[:, 1]) * grid.dy])
+    pts = grid.jittered_points(idx, u[:, 0], u[:, 1])
 
     if use_marks:
-        X = _mark_covariates(dgp, model, idx)
-        p = model.category_probabilities(X, shift=ivA.mediator)[dgp.mediator_positive]
-        active = (rng.uniform(size=n_draws) < p).astype(float)
+        active = _positive(dgp, model, _mark_covariates(dgp, model, idx),
+                           rng.uniform(size=n_draws), ivA.mediator)
     else:
         active = np.zeros(n_draws)
 
@@ -454,42 +448,31 @@ def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
                            ) -> tuple[float, float]:
     """Mediator-only contrast with common treatment draws and coupled marks.
 
-    Every draw is made first, in per-draw order: one treatment pattern per
-    window period, then one uniform per point of each contributing non-empty
-    pattern.  Marks are then evaluated once over all kept points, and kernel
-    masses only for the patterns with a flipped mark.
+    All draws come first, with mark uniforms only where a lag reaches the
+    final period.  Marks are then chosen under each shift from one covariate
+    gather, and kernel masses only for the patterns with a flipped mark.
     """
     rng = np.random.default_rng(seed)
-    grid = dgp.grid
-    region_mask = region.resolve_mask(grid).ravel()
+    region_mask = region.resolve_mask(dgp.grid).ravel()
     model = mediator_model if mediator_model is not None else dgp.true_mediator_model()
-    positive = dgp.mediator_positive
 
-    contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
-    kept = []  # (draw, points, uniforms) in draw order
-    for d in range(n_draws):
-        for j in range(L):
-            pat = sample_pattern(ivA.treatment, rng, time=j + 1, offset=j)
-            if len(pat) and L - 1 - j in contributing:
-                kept.append((d, pat.points, rng.uniform(size=len(pat))))
+    offsets = {L - 1 - lag for lag in range(1, min(dgp.max_lag, L - 1) + 1)}
+    kept = [k for k in _draw_windows(ivA.treatment, rng, n_draws, L, offsets)
+            if k[1] in offsets]
 
     diffs = np.zeros(n_draws)
     if kept:
-        points = np.concatenate([pts for _, pts, _ in kept])
-        u = np.concatenate([uu for _, _, uu in kept])
-        row, col = grid.cell_index(points)
-        X = _mark_covariates(dgp, model, row * grid.nx + col)
-        pA = model.category_probabilities(X, shift=ivA.mediator)[positive]
-        pB = model.category_probabilities(X, shift=ivB.mediator)[positive]
+        X, u = _kept_marks(dgp, model, kept)
         # One uniform per point decides the mark under both shifts: the
         # carryover term cancels and only flipped marks contribute.
-        delta_active = (u < pA).astype(float) - (u < pB).astype(float)
+        delta_active = (_positive(dgp, model, X, u, ivA.mediator)
+                        - _positive(dgp, model, X, u, ivB.mediator))
         start = 0
-        for d, pts, _ in kept:
-            delta = delta_active[start:start + len(pts)]
-            start += len(pts)
+        for d, _, pat, _ in kept:
+            delta = delta_active[start:start + len(pat)]
+            start += len(pat)
             if np.any(delta != 0.0):
-                mass = _region_kernel_mass(dgp, region_mask, pts)
+                mass = _region_kernel_mass(dgp, region_mask, pat.points)
                 diffs[d] += float(np.sum(dgp.mediator_bonus * delta * mass))
     mean = float(np.mean(diffs))
     se = float(np.std(diffs, ddof=1) / math.sqrt(n_draws))
@@ -515,6 +498,10 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
              + _history_contribution(dgp, region_mask, list(history), L))
 
     model = _mark_model(dgp, mediator_model)
+    p_active = None
+    if model is not None and dgp.mediator_bonus != 0.0:
+        p_active = model.category_probabilities(
+            _mark_covariates(dgp, model), shift=iv.mediator)[dgp.mediator_positive]
 
     for j in range(L):
         lag = L - 1 - j
@@ -524,10 +511,7 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
         lam = iv.treatment.raster_for_offset(j).values
         field = exact_expected_spillover(dgp, lam)
         total += c * float(np.sum(field[region_mask])) * area
-        if model is not None and dgp.mediator_bonus != 0.0:
-            X = _mark_covariates(dgp, model)
-            p_active = model.category_probabilities(X, shift=iv.mediator)[
-                dgp.mediator_positive]
+        if p_active is not None:
             bonus_field = exact_expected_spillover(
                 dgp, lam.ravel() * p_active)
             total += (dgp.mediator_bonus

@@ -65,6 +65,14 @@ def test_unknown_flag_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "fit-propensity", "design-intervention"])
+def test_threads_flag_is_a_usage_error_outside_estimand_commands(command):
+    # --threads is accepted (and ignored) only by ate, cate and mediate
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_missing_config_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["ate", "--config", "/nonexistent/config.json"])

@@ -1,5 +1,6 @@
 """Synthetic DGP, Monte-Carlo oracle, and their cross-checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from geocausal.interventions import (
     intensified,
     sample_pattern,
 )
+from geocausal.io import write_events_csv
 from geocausal.simulate import (
     exact_expected_spillover,
     expected_region_outcome,
@@ -138,6 +140,42 @@ def test_coupled_oracle_draws_are_pinned(monkeypatch):
     tau, se = oracle_effect(dgp, [], pairA, pairB, 2, region, 400, 3)
     assert (tau.hex(), se.hex()) == ("0x1.9720d920e6a18p-2", "0x1.23726dda43e95p-4")
     assert len(calls) == 400 * 2
+
+
+@pytest.mark.parametrize("config, pinned", [
+    ("marked", ("0x1.c8613966f51e4p+2", "0x1.2758a2e8f8d07p-1")),
+    ("two-lag", ("0x1.2f2cc66f59110p+1", "0x1.fdb9c36ae33e3p-4")),
+])
+def test_mc_oracle_draws_are_pinned(monkeypatch, config, pinned):
+    # n_draws * L treatment patterns in draw order, mark uniforms after every
+    # non-empty pattern when there is a mark model, and these exact bits
+    if config == "marked":     # mediator shift on the DGP's own mark rule, L=2
+        dgp, pair, _ = _oracle_pairs("coupled")
+        L, seed = 2, 3
+    else:                      # no marks, both carryover lags inside the window
+        dgp = default_dgp(carryover=(4.0, 2.0))
+        pair = InterventionPair(
+            intensified(normalize_raster(dgp.treatment_intensity()), 0.5), L=3)
+        L, seed = 3, 5
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_pattern(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample_pattern", counted)
+    res = mc_oracle(dgp, [], pair, L, interior_region(dgp.grid), 400, seed)
+    assert (res.value.hex(), res.se.hex()) == pinned
+    assert len(calls) == 400 * L
+
+
+def test_simulate_series_events_are_pinned(tmp_path):
+    # treatment draws, mark uniforms and the outcome jitter keep their stream
+    dgp = default_dgp(mediator=True, mediator_bonus=6.0, treatment_rate=0.5)
+    series = simulate_series(dgp, 200, 17)
+    write_events_csv(series, tmp_path / "events.csv")
+    digest = hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest()
+    assert digest == "8cf91120bfa9d8bcec82a29dcae572500fca7a8c32b35d4b610cb8e5d418af8e"
 
 
 def test_oracle_against_closed_form():
