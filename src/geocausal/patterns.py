@@ -12,7 +12,7 @@ in two dimensions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class PointPattern:
     time: int
     points: np.ndarray
     window: SpatialWindow
+    # (grid, flat cell index) of the last cell_indices call
+    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -50,6 +52,16 @@ class PointPattern:
             )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    def cell_indices(self, grid: RasterGrid) -> np.ndarray:
+        """Read-only flat cell index ``row * nx + col`` per point, kept for the
+        last grid geometry asked for."""
+        if self._cells is None or not self._cells[0].same_geometry(grid):
+            row, col = grid.cell_index(self.points)
+            flat = row * grid.nx + col
+            flat.setflags(write=False)
+            object.__setattr__(self, "_cells", (grid, flat))
+        return self._cells[1]
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -190,8 +202,7 @@ def count_in_region(pattern: PointPattern, region: Region, grid: RasterGrid) -> 
     if len(pattern) == 0:
         return 0
     mask = region.resolve_mask(grid)
-    row, col = grid.cell_index(pattern.points)
-    return int(np.count_nonzero(mask[row, col]))
+    return int(np.count_nonzero(mask.ravel()[pattern.cell_indices(grid)]))
 
 
 def _kernel_values(dist2: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
@@ -208,53 +219,57 @@ def _kernel_quantum(spec: SmoothingSpec) -> float:
     return math.ldexp(1.0, exp + _MAX_POINTS_LOG2 - 53)
 
 
-def kernel_contributions(points: np.ndarray, spec: SmoothingSpec,
-                         grid: RasterGrid) -> np.ndarray:
-    """Per-point kernel surfaces, shape (n_points, ny*nx), pre-rounded.
+def _kernel_quanta(points: np.ndarray, spec: SmoothingSpec,
+                   grid: RasterGrid) -> tuple[np.ndarray, float]:
+    """Per-point kernel surfaces ``K`` as whole quanta ``k = round(K / q)``,
+    shape (n_points, ny*nx), and the quantum ``q``.
 
-    Contributions are snapped to a quantum fixed by the kernel alone, so sums
-    over any subset of points are error-free: superposed patterns smooth to
-    exactly the sum of their parts.  The Gaussian kernel is evaluated as a
-    separable product over the axes.
+    ``q`` is a power of two fixed by the kernel alone, so ``k * q`` is exact
+    and sums of ``k`` over any subset of points are error-free: superposed
+    patterns smooth to exactly the sum of their parts.  The Gaussian kernel is
+    evaluated as a separable product over the axes, and its
+    ``round(outer / (c*q))`` rounds exactly like ``outer / c`` divided by
+    ``q`` (subnormal values give 0 both ways).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = pts.shape[0]
+    q = _kernel_quantum(spec)
     b = spec.bandwidth
     if spec.kernel == "gaussian":
         gx = np.exp(-0.5 * ((grid.x_centers()[None, :] - pts[:, 0:1]) / b) ** 2)
         gy = np.exp(-0.5 * ((grid.y_centers()[None, :] - pts[:, 1:2]) / b) ** 2)
-        vals = (gy[:, :, None] * gx[:, None, :]).reshape(n, grid.n_cells)
-        vals = vals / (2.0 * math.pi * b * b)
+        k = (gy[:, :, None] * gx[:, None, :]).reshape(len(pts), grid.n_cells)
+        k /= 2.0 * math.pi * b * b * q
     else:
-        centers = grid.cell_centers()
-        diff = centers[None, :, :] - pts[:, None, :]
-        vals = _kernel_values(np.sum(diff * diff, axis=2), spec)
-    q = _kernel_quantum(spec)
-    return np.round(vals / q) * q
+        diff = grid.cell_centers()[None, :, :] - pts[:, None, :]
+        k = _kernel_values(np.sum(diff * diff, axis=2), spec)
+        k /= q
+    return np.round(k, out=k), q
 
 
 def kernel_smooth(pattern: PointPattern, spec: SmoothingSpec,
                   grid: RasterGrid) -> Raster:
-    """Sum of unit-mass kernel surfaces centered at the pattern's events."""
+    """Sum of unit-mass kernel surfaces centered at the pattern's events: whole
+    quanta summed exactly, then scaled once (the sum of the contributions)."""
     if len(pattern) == 0:
         return Raster(grid, np.zeros((grid.ny, grid.nx)))
-    contrib = kernel_contributions(pattern.points, spec, grid)
-    return Raster(grid, np.sum(contrib, axis=0).reshape(grid.ny, grid.nx))
+    k, q = _kernel_quanta(pattern.points, spec, grid)
+    return Raster(grid, (np.sum(k, axis=0) * q).reshape(grid.ny, grid.nx))
 
 
 def smoothed_cell_values(pattern: PointPattern, spec: SmoothingSpec,
                          grid: RasterGrid) -> np.ndarray:
     """Flat per-cell masses ``smooth(pattern) * cell_area``, pre-rounded.
 
-    The returned vector is snapped onto a common power-of-two grid so that
-    sums over *any* subset of cells are error-free; region integrals built
-    from it are therefore exactly additive over disjoint regions.
+    Summed in whole quanta like :func:`kernel_smooth`, then snapped onto a
+    common power-of-two grid so that sums over *any* subset of cells are
+    error-free; region integrals built from it are therefore exactly
+    additive over disjoint regions.
     """
     if len(pattern) == 0:
         return np.zeros(grid.n_cells)
-    contrib = kernel_contributions(pattern.points, spec, grid)
+    k, q = _kernel_quanta(pattern.points, spec, grid)
     return snap_for_exact_sums(
-        np.sum(contrib, axis=0) * grid.cell_area, n_terms=grid.n_cells
+        np.sum(k, axis=0) * q * grid.cell_area, n_terms=grid.n_cells
     )
 
 

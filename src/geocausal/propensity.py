@@ -118,14 +118,6 @@ class FittedPropensity:
         return log_pattern_density(raster, series.treatment(t).base, integral=integral)
 
 
-def _cell_counts(grid: RasterGrid, pattern: PointPattern) -> np.ndarray:
-    counts = np.zeros(grid.n_cells)
-    if len(pattern):
-        row, col = grid.cell_index(pattern.points)
-        np.add.at(counts, row * grid.nx + col, 1.0)
-    return counts
-
-
 def _time_design(T: int, options: PropensityOptions):
     """Per-period design of spline and indicator columns; (T, m) and names."""
     cols, names = [], []
@@ -165,6 +157,8 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
     columns = ["intercept"] + covariate_names + time_names
     k_cov = 1 + len(covariate_names)
     cellmask = grid.mask.ravel()
+    bases = [series.treatment(t).base for t in range(1, series.T + 1)]
+    cells = np.concatenate([np.zeros(0, int)] + [b.cell_indices(grid) for b in bases if len(b)])
 
     static = series.is_static(covariate_names) and time_design.shape[1] == 0
     if static:
@@ -173,9 +167,7 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
             + [series.covariate(n, 1).values.ravel() for n in covariate_names]
         )
         valid = cellmask & np.isfinite(Xc).all(axis=1)
-        y = np.zeros(grid.n_cells)
-        for t in range(1, series.T + 1):
-            y += _cell_counts(grid, series.treatment(t).base)
+        y = np.bincount(cells, minlength=grid.n_cells).astype(float)
         X, y = Xc[valid], y[valid]
         offset = np.full(X.shape[0], np.log(series.T * grid.cell_area))
     else:
@@ -190,10 +182,8 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
         design[:, :, k_cov:] = time_design[:, None, :]
         valid = cellmask & np.isfinite(design[:, :, :k_cov]).all(axis=2)
         X = design[valid]
-        bases = [series.treatment(t).base for t in range(1, T + 1)]
-        row, col = grid.cell_index(np.vstack([b.points for b in bases]))
         period = np.repeat(np.arange(T), [len(b) for b in bases])
-        counts = np.bincount(period * n + row * grid.nx + col, minlength=T * n)
+        counts = np.bincount(period * n + cells, minlength=T * n)
         y = counts.reshape(T, n)[valid].astype(float)
         offset = np.full(X.shape[0], np.log(grid.cell_area))
 
@@ -260,8 +250,7 @@ def log_pattern_density(intensity: Raster, pattern: PointPattern,
     total = integrate_raster(intensity) if integral is None else integral
     if len(pattern) == 0:
         return -total
-    row, col = grid.cell_index(pattern.points)
-    lam = intensity.values[row, col]
+    lam = intensity.values.ravel()[pattern.cell_indices(grid)]
     bad = np.where(~(lam > 0.0))[0]
     if bad.size:
         i = int(bad[0])

@@ -240,11 +240,16 @@ def simulate_series(dgp: SyntheticDGP, T: int, seed) -> PatternSeries:
 
 def _region_kernel_mass(dgp: SyntheticDGP, region_mask: np.ndarray,
                         points: np.ndarray) -> np.ndarray:
-    """integral over B of k_rho(. - s) per source point (midpoint rule)."""
-    if points.shape[0] == 0:
-        return np.zeros(0)
-    fields = dgp.spillover_fields(points)
-    return fields[:, region_mask].sum(axis=1) * dgp.grid.cell_area
+    """integral over B of k_rho(. - s) per source point (midpoint rule), in
+    blocks of 2**18 field cells (2 MB).  numpy sums a one-row gather pairwise
+    and a taller one left to right, so a block is one row tall only when the
+    call is: every row keeps the bits of the one-shot expression."""
+    n, step = points.shape[0], max(2, (1 << 18) // dgp.grid.n_cells)
+    bounds = [*range(0, max(n - 1, 1), step), n]  # a lone last row joins its block
+    out = np.empty(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = dgp.spillover_fields(points[lo:hi])[:, region_mask].sum(axis=1)
+    return out * dgp.grid.cell_area
 
 
 def _pattern_mass(dgp: SyntheticDGP, region_mask: np.ndarray, points: np.ndarray,
@@ -429,13 +434,8 @@ def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
     else:
         active = np.zeros(n_draws)
 
-    # Per-event contribution, evaluated in chunks to bound memory.
-    per_event = np.empty(n_draws)
-    step = 4096
-    for lo in range(0, n_draws, step):
-        hi = min(lo + step, n_draws)
-        per_event[lo:hi] = _region_kernel_mass(dgp, region_mask, pts[lo:hi])
-    x = per_event * (coef_sum + dgp.mediator_bonus * len(contributing) * active)
+    x = (_region_kernel_mass(dgp, region_mask, pts)
+         * (coef_sum + dgp.mediator_bonus * len(contributing) * active))
     mean = delta_count * float(np.mean(x))
     se = delta_count * float(np.std(x, ddof=1) / math.sqrt(n_draws))
     return mean, se

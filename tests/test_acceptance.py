@@ -1,8 +1,10 @@
 """Acceptance criteria: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The slow criteria (8-10)
-are full coverage experiments against the Monte-Carlo oracle; each stays
-inside its stated runtime budget on a laptop-class machine.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Every test here carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the module
+suite without them.  The slow criteria (8-10) are full coverage experiments
+against the Monte-Carlo oracle; each stays inside its stated runtime budget
+on a laptop-class machine.
 """
 
 import itertools
@@ -46,6 +48,8 @@ from geocausal.validation import (
     default_dgp,
     interior_region,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(criterion: int, message: str) -> None:

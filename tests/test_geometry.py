@@ -293,3 +293,9 @@ def test_snap_for_exact_sums_2d_is_row_by_row():
     assert np.all(snapped[2] == 0.0)
     # the default n_terms is the row length, as for a single row
     assert snap_for_exact_sums(rows)[1].tobytes() == snap_for_exact_sums(rows[1]).tobytes()
+
+    # zero, infinite and NaN inputs come back as they are, alone or as a row
+    for v in ([0.0, -0.0, 0.0], [1.0, np.inf, -2.0], [-np.inf, 3.0], [np.nan, 1.0]):
+        v = np.array(v)
+        assert snap_for_exact_sums(v).tobytes() == v.tobytes()
+        assert snap_for_exact_sums(v[None, :], n_terms=4096).tobytes() == v.tobytes()

@@ -1,14 +1,17 @@
 """Point patterns, kernel smoothing, and history-map contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
-from geocausal.geometry import Raster, Region, SpatialWindow, build_grid
+from geocausal.geometry import Raster, Region, SpatialWindow, build_grid, snap_for_exact_sums
 from geocausal.patterns import (
     MarkedPointPattern,
     PatternSeries,
     PointPattern,
     SmoothingSpec,
+    _kernel_quanta,
     boundary_event_fraction,
     count_in_region,
     history_maps,
@@ -40,6 +43,47 @@ def test_point_outside_window_rejected():
     window = make_window(1.0)
     with pytest.raises(ValueError):
         PointPattern(time=1, points=np.array([[2.0, 0.5]]), window=window)
+
+
+def test_outside_window_error_names_the_first_bad_point():
+    window = make_window(1.0)
+    pts = np.array([[0.5, 0.5], [0.25, 1.5], [2.0, 0.5]])
+    with pytest.raises(ValueError, match=r"point 1 at \(0.25, 1.5\) .*\(t=3\)"):
+        PointPattern(time=3, points=pts, window=window)
+    # inside the bounds but outside a masking polygon
+    triangle = SpatialWindow(bounds=(0.0, 0.0, 1.0, 1.0),
+                             polygon=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"point 2 at \(0.9, 0.9\)"):
+        PointPattern(time=1, points=np.array([[0.1, 0.1], [0.2, 0.3], [0.9, 0.9]]),
+                     window=triangle)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+def test_nan_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="point 1 at"):
+        PointPattern(time=1, points=np.array([[0.5, 0.5], bad]), window=make_window(1.0))
+
+
+def test_cell_indices_are_flat_read_only_and_per_grid():
+    window = make_window()
+    pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(50, 2))
+    pts[:3] = [[0.0, 0.0], [10.0, 10.0], [10.0, 0.0]]  # edges clip inward
+    pat = PointPattern(time=1, points=pts, window=window)
+    grid = build_grid(window, 7, 5)
+    row, col = grid.cell_index(pts)
+    flat = pat.cell_indices(grid)
+    assert np.array_equal(flat, row * grid.nx + col)
+    assert not flat.flags.writeable
+    with pytest.raises(ValueError):
+        flat[0] = 0
+    assert pat.cell_indices(grid) is flat
+    assert pat.cell_indices(build_grid(window, 7, 5)) is flat  # same geometry
+    other = build_grid(window, 4, 9)
+    row, col = other.cell_index(pts)
+    assert np.array_equal(pat.cell_indices(other), row * other.nx + col)
+    assert np.array_equal(pat.cell_indices(grid), flat)
+    empty = PointPattern(time=1, points=np.zeros((0, 2)), window=window)
+    assert empty.cell_indices(grid).shape == (0,)
 
 
 def test_duplicates_flagged_not_rejected():
@@ -135,6 +179,53 @@ def test_smoothed_cell_values_region_additivity():
     labels = rng.integers(0, 9, size=v.size)
     parts = [v[labels == k].sum() for k in range(9)]
     assert sum(parts) == v.sum()
+
+
+def _reference_contributions(pts, spec, grid):
+    """Per-point kernel surfaces by the direct formula: kernel values, then
+    division by the quantum, rounding and scaling back."""
+    b = spec.bandwidth
+    b2 = b * b
+    if spec.kernel == "gaussian":
+        gx = np.exp(-0.5 * ((grid.x_centers()[None, :] - pts[:, 0:1]) / b) ** 2)
+        gy = np.exp(-0.5 * ((grid.y_centers()[None, :] - pts[:, 1:2]) / b) ** 2)
+        vals = (gy[:, :, None] * gx[:, None, :]).reshape(len(pts), grid.n_cells)
+        vals = vals / (2.0 * math.pi * b * b)
+        peak = 1.0 / (2.0 * math.pi * b2)
+    else:
+        diff = grid.cell_centers()[None, :, :] - pts[:, None, :]
+        d2 = np.sum(diff * diff, axis=2)
+        vals = np.where(d2 < b2, (2.0 / (math.pi * b2)) * (1.0 - d2 / b2), 0.0)
+        peak = 2.0 / (math.pi * b2)
+    q = math.ldexp(1.0, math.frexp(peak)[1] + 21 - 53)
+    return np.round(vals / q) * q
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("bandwidth", [0.05, 0.3, 0.67, 1.2, 5.0])
+@pytest.mark.parametrize("nx, ny", [(32, 32), (64, 48)])
+def test_smoothing_is_bit_identical_to_the_reference_formula(kernel, bandwidth, nx, ny):
+    grid = build_grid(SpatialWindow(bounds=(0.0, 0.0, 10.0, 7.5)), nx, ny)
+    spec = SmoothingSpec(bandwidth=bandwidth, kernel=kernel)
+    rng = np.random.default_rng(nx + int(100 * bandwidth))
+    for n in (0, 1, 2, 23):
+        pts = np.column_stack([rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 7.5, n)])
+        if n == 23:
+            pts[:2] = [[0.0, 0.0], [10.0, 7.5]]
+        pat = PointPattern(time=1, points=pts, window=grid.window)
+        ref = _reference_contributions(pts, spec, grid)
+        k, q = _kernel_quanta(pts, spec, grid)
+        assert _same_bits(k * q, ref)
+        total = np.sum(ref, axis=0)
+        assert _same_bits(kernel_smooth(pat, spec, grid).values,
+                          total.reshape(grid.ny, grid.nx))
+        want = snap_for_exact_sums((total * grid.cell_area)[None, :],
+                                   n_terms=grid.n_cells)[0]
+        assert _same_bits(smoothed_cell_values(pat, spec, grid), want)
 
 
 def test_scott_rule_bandwidth():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,3 +282,29 @@ def test_mediation_truth_decomposition():
     ie, ie_se = oracle_effect(dgp, [], pairs["ba"], pairs["b"], L, region, n, 33)
     combined = math.sqrt(te_se ** 2 + de_se ** 2 + ie_se ** 2)
     assert te == pytest.approx(de + ie, abs=2.5 * combined)
+
+
+def test_region_kernel_mass_is_blocked_bit_for_bit_in_bounded_memory():
+    dgp = default_dgp()
+    mask = interior_region(dgp.grid).resolve_mask(dgp.grid).ravel()
+    pts = np.random.default_rng(8).uniform(0.0, 10.0, size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        got = simulate._region_kernel_mass(dgp, mask, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one shot, the (20000, 1024) fields alone would take 164 MB
+    assert peak < 16 * 2 ** 20
+
+    def one_shot(p):
+        return dgp.spillover_fields(p)[:, mask].sum(axis=1) * dgp.grid.cell_area
+
+    for rows in (slice(0, 2), slice(0, 7), slice(250, 270), slice(19_990, 20_000)):
+        assert got[rows].tobytes() == one_shot(pts[rows]).tobytes()
+    # numpy sums a one-row gather pairwise and a taller one left to right:
+    # one-row calls keep their own bits, and no block is left one row tall
+    for n in (1, 2, 257, 513):
+        got = simulate._region_kernel_mass(dgp, mask, pts[:n])
+        assert got.tobytes() == one_shot(pts[:n]).tobytes()
+    assert simulate._region_kernel_mass(dgp, mask, np.zeros((0, 2))).shape == (0,)
