@@ -36,7 +36,7 @@ X, y = [], []
 for t in range(1, series.T + 1):
     pat = series.treatment(t)
     if len(pat):
-        X.append(point_covariates(series, ["bump_a"], t, pat.points))
+        X.append(point_covariates(series, ["bump_a"], t, pat.base))
         y.extend(m == "hit" for m in pat.marks)
 scores = score.stage_probabilities(np.vstack(X))[0]
 print("stage AUC: %.3f" % auc_diagnostic(scores, np.array(y)))

@@ -403,9 +403,11 @@ def snap_for_exact_sums(values: np.ndarray, n_terms: int | None = None) -> np.nd
     m = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     n = int(n_terms if n_terms is not None else rows.shape[1])
     guard = max(1, math.ceil(math.log2(max(n, 2))))
-    keep = (m == 0.0) | ~np.isfinite(m)
-    # frexp's exponent is the smallest e with m <= 2**e
-    q = np.where(keep, 1.0, np.ldexp(1.0, np.frexp(m)[1] + guard - 53))[:, None]
+    # frexp's exponent is the smallest e with m <= 2**e; a row whose quantum
+    # underflows to 0 is kept as it is, like a zero row
+    q = np.ldexp(1.0, np.frexp(m)[1] + guard - 53)
+    keep = (q == 0.0) | (m == 0.0) | ~np.isfinite(m)
+    q = np.where(keep, 1.0, q)[:, None]
     out = rows / q
     np.round(out, out=out)
     out *= q

@@ -4,8 +4,9 @@ Both the treatment propensity (Poisson intensity on cell counts) and the
 mediator score stages (point-level logistic regressions) run through
 :func:`fit_glm`.  The solver is deliberately small and transparent: monotone
 deviance via step-halving, a 1e-8 relative-deviance stopping rule, an optional
-ridge penalty as a rank-deficiency escape hatch, and pivoted-QR rank checks
-that name the collinear columns.
+ridge penalty as a rank-deficiency escape hatch, and a rank check that names
+the collinear columns: an unpivoted QR of the tall design, then a pivoted QR
+of its small triangular factor.
 """
 
 from __future__ import annotations
@@ -44,11 +45,15 @@ class GLMFit:
         return float(np.max(np.abs(self.score))) if self.score.size else 0.0
 
 
-def _check_rank(X: np.ndarray, w: np.ndarray, columns) -> None:
-    Xw = X * np.sqrt(w)[:, None]
-    # "raw" mode keeps R at k x k instead of a full-height triangular copy.
-    _, r, piv = linalg.qr(Xw, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(r))
+def _check_rank(X: np.ndarray, columns, w: np.ndarray | None = None) -> None:
+    Xw = X if w is None else X * np.sqrt(w)[:, None]
+    # Xw = QR, so a pivoted QR of the small R has the |diagonal| and pivots a
+    # pivoted QR of Xw would have; with n < k the last k - n pivots have no
+    # diagonal entry and count as deficient.
+    r = np.triu(linalg.lapack.dgeqrf(Xw)[0][:Xw.shape[1]])
+    _, r, piv = linalg.qr(r, mode="raw", pivoting=True)
+    diag = np.zeros(len(columns))
+    diag[:min(r.shape)] = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise RankDeficiencyError(columns)
     bad = diag < _RANK_RTOL * diag[0]
@@ -56,9 +61,11 @@ def _check_rank(X: np.ndarray, w: np.ndarray, columns) -> None:
         raise RankDeficiencyError([columns[j] for j in piv[np.where(bad)[0]]])
 
 
-def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+def _poisson_deviance(y: np.ndarray, mu: np.ndarray, pos: np.ndarray) -> float:
+    """Deviance with ``pos`` the indices of the positive counts."""
+    term = np.zeros_like(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(y > 0, y * np.log(np.where(y > 0, y / mu, 1.0)), 0.0)
+        term[pos] = y[pos] * np.log(y[pos] / mu[pos])
     return 2.0 * float(np.sum(term - (y - mu)))
 
 
@@ -116,8 +123,10 @@ def fit_glm(X: np.ndarray, y: np.ndarray, family: str, columns=None,
             return np.exp(eta)
         return 1.0 / (1.0 + np.exp(-eta))
 
+    pos = np.flatnonzero(y > 0)
+
     def deviance_of(mu):
-        return (_poisson_deviance(y, mu) if family == "poisson"
+        return (_poisson_deviance(y, mu, pos) if family == "poisson"
                 else _binomial_deviance(y, mu))
 
     def objective(beta, mu):
@@ -139,20 +148,23 @@ def fit_glm(X: np.ndarray, y: np.ndarray, family: str, columns=None,
 
     eta = X @ beta + offset
     mu = mu_of(eta)
-    _check_rank(X, np.ones(n), columns)
+    _check_rank(X, columns)
     obj = objective(beta, mu)
     trace = [obj]
     converged = False
     it = 0
+    # X.T * w, filled in place each iteration (same layout, same products)
+    XtW = np.empty_like(X.T)
 
     for it in range(1, max_iter + 1):
         if family == "poisson":
             w = mu
-            z = eta - offset + (y - mu) / np.maximum(mu, 1e-300)
+            z = (y - mu) / np.maximum(mu, 1e-300)
         else:
             w = np.clip(mu * (1.0 - mu), 1e-10, None)
-            z = eta - offset + (y - mu) / w
-        XtW = X.T * w
+            z = (y - mu) / w
+        z += eta - offset
+        np.multiply(X.T, w, out=XtW)
         H = XtW @ X
         if ridge:
             H = H + ridge * np.diag(pen_mask)
@@ -160,7 +172,7 @@ def fit_glm(X: np.ndarray, y: np.ndarray, family: str, columns=None,
         try:
             proposal = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
-            _check_rank(X, w, columns)
+            _check_rank(X, columns, w)
             raise
 
         # Step-halving keeps the (penalized) deviance monotone.

@@ -34,7 +34,7 @@ from .errors import OverlapViolationError
 from .geometry import Region
 from .glm import GLMFit, fit_glm
 from .interventions import InterventionPair, MediatorIntervention, incremental_shift
-from .patterns import MarkedPointPattern, PatternSeries, SmoothingSpec
+from .patterns import MarkedPointPattern, PatternSeries, PointPattern, SmoothingSpec
 from .propensity import FittedPropensity
 
 
@@ -94,14 +94,13 @@ def _validate_tree(stages: list[StageSpec]) -> tuple[str, ...]:
 
 
 def point_covariates(series: PatternSeries, names, t: int,
-                     points: np.ndarray) -> np.ndarray:
-    """Covariate values read off the period-t rasters at event locations."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    grid = series.grid
-    row, col = grid.cell_index(pts)
+                     pattern: PointPattern) -> np.ndarray:
+    """Covariate values read off the period-t rasters at the pattern's events."""
+    pts = pattern.points
+    cells = pattern.cell_indices(series.grid)
     cols = []
     for name in names:
-        vals = series.covariate(name, t).values[row, col]
+        vals = series.covariate(name, t).values.ravel()[cells]
         if np.any(~np.isfinite(vals)):
             i = int(np.where(~np.isfinite(vals))[0][0])
             raise ValueError(
@@ -181,7 +180,7 @@ def fit_mediator_score(series: PatternSeries, covariate_names,
         pat = series.treatment(t)
         if not isinstance(pat, MarkedPointPattern) or len(pat) == 0:
             continue
-        rows_X.append(point_covariates(series, covariate_names, t, pat.points))
+        rows_X.append(point_covariates(series, covariate_names, t, pat.base))
         rows_mark.extend(pat.marks)
     if not rows_mark:
         raise ValueError("no marked treatment points to fit on")
@@ -251,7 +250,7 @@ def _mediator_period_ratio(series: PatternSeries, model: MediatorScoreModel,
     pat = series.treatment(t)
     if len(pat) == 0:
         return 0.0
-    X = point_covariates(series, model.covariate_names, t, pat.points)
+    X = point_covariates(series, model.covariate_names, t, pat.base)
     if shift is None:
         return 0.0  # pass-through: identical densities cancel exactly
     try:

@@ -181,7 +181,7 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
                                for t in range(1, T + 1)]
         design[:, :, k_cov:] = time_design[:, None, :]
         valid = cellmask & np.isfinite(design[:, :, :k_cov]).all(axis=2)
-        X = design[valid]
+        X = design.reshape(T * n, -1) if valid.all() else design[valid]
         period = np.repeat(np.arange(T), [len(b) for b in bases])
         counts = np.bincount(period * n + cells, minlength=T * n)
         y = counts.reshape(T, n)[valid].astype(float)

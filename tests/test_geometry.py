@@ -299,3 +299,18 @@ def test_snap_for_exact_sums_2d_is_row_by_row():
         v = np.array(v)
         assert snap_for_exact_sums(v).tobytes() == v.tobytes()
         assert snap_for_exact_sums(v[None, :], n_terms=4096).tobytes() == v.tobytes()
+
+
+def test_snap_for_exact_sums_keeps_rows_whose_quantum_underflows():
+    # below about 2**-1020 the quantum 2**(e + guard - 53) underflows to 0
+    tiny = np.array([2.0**-1040, -3 * 2.0**-1060, 0.0])
+    with np.errstate(divide="raise", invalid="raise"):
+        assert snap_for_exact_sums(tiny).tobytes() == tiny.tobytes()
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(3, 3))
+        alone = [snap_for_exact_sums(r) for r in rows]
+        rows = np.vstack([rows[:1], tiny, rows[1:]])
+        snapped = snap_for_exact_sums(rows)
+    assert snapped[1].tobytes() == tiny.tobytes()
+    for got, want in zip(snapped[[0, 2, 3]], alone):
+        assert got.tobytes() == want.tobytes()

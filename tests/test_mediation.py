@@ -298,6 +298,29 @@ def test_estimate_computes_each_shared_series_once(med_world, monkeypatch):
     assert counts == {"propensity": T, "treatment": 2 * T, "mediator": 2 * T}
 
 
+def test_point_covariates_read_the_cached_cell_index(med_world, monkeypatch):
+    from geocausal.geometry import RasterGrid
+    from geocausal.mediation import mediator_log_ratios, point_covariates
+
+    dgp, series, fit, score, baseline = med_world
+    grid = series.grid
+    t = next(t for t in range(1, series.T + 1) if len(series.treatment(t)) > 1)
+    pat = series.treatment(t).base
+    row, col = grid.cell_index(pat.points)
+    want = series.covariate("bump_a", t).values[row, col]
+    for tt in range(1, series.T + 1):
+        series.treatment(tt).base.cell_indices(grid)
+    calls = []
+    real = RasterGrid.cell_index
+    monkeypatch.setattr(RasterGrid, "cell_index",
+                        lambda self, pts: calls.append(1) or real(self, pts))
+    got = point_covariates(series, ["bump_a"], t, pat)
+    assert got.tobytes() == want[:, None].tobytes()
+    fit_mediator_score(series, ["bump_a"], binary_tree("hit", "none"))
+    mediator_log_ratios(series, score, MediatorIntervention(2.5, "hit"))
+    assert calls == []
+
+
 def test_degenerate_contrasts(med_world):
     dgp, series, fit, score, baseline = med_world
     spec = SmoothingSpec(bandwidth=0.4)
