@@ -147,7 +147,11 @@ def main(argv=None) -> int:
         dgp = _dgp_from(args.dgp)
         config = _estimator_config_from(args.dgp)
         config.estimand = args.estimand
-        rows = coverage_experiment(dgp, config, args.replicates, args.seed)
+        try:
+            rows = coverage_experiment(dgp, config, args.replicates, args.seed)
+        except ValueError as err:
+            print("error: %s" % err, file=sys.stderr)
+            return 2
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         io.write_coverage_table(rows, out / "coverage.csv", out / "coverage.json")

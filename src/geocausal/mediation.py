@@ -248,11 +248,9 @@ def mediator_log_density(model: MediatorScoreModel, marks, X: np.ndarray,
 def _mediator_period_ratio(series: PatternSeries, model: MediatorScoreModel,
                            shift: MediatorIntervention | None, t: int) -> float:
     pat = series.treatment(t)
-    if len(pat) == 0:
-        return 0.0
-    X = point_covariates(series, model.covariate_names, t, pat.base)
-    if shift is None:
+    if shift is None or len(pat) == 0:
         return 0.0  # pass-through: identical densities cancel exactly
+    X = point_covariates(series, model.covariate_names, t, pat.base)
     try:
         num = mediator_log_density(model, pat.marks, X, shift=shift)
         den = mediator_log_density(model, pat.marks, X)

@@ -1,19 +1,25 @@
 """Coverage experiments: run the full estimation stack against oracle truth.
 
 One replicate = simulate a series, fit the nuisance models, estimate, and
-compare with the Monte-Carlo oracle; the experiment aggregates bias, RMSE,
-confidence-interval coverage, and weight diagnostics over replicates.  The
-three arms share machinery:
+score against the truth; rows aggregate bias, RMSE, CI coverage, and weight
+diagnostics.  ``coverage_experiment`` is the one replicate loop: replicate
+``r`` runs on child ``r`` of ``SeedSequence(seed)``, oracle seeds are spawned
+after the replicates', and a picklable arm maps ``(r, seed)`` to a record.
+Every arm reads ``L``, ``count_A``/``count_B``, ``propensity_options`` and,
+per T, the bandwidth ``bandwidth_schedule[T]`` if a schedule is set, else
+``bandwidth``.  Bad inputs, such as a schedule missing one of the arm's T,
+raise ``ValueError`` before any oracle draw (``geocausal validate``: exit 2).
 
-* ``ate``: intensification contrast at several series lengths.  The T grid is
-  evaluated on prefixes of one simulated series per replicate (common random
-  numbers), which sharpens the bias-versus-T comparison.
-* ``mediation``: indirect effect of a delta shift on the fitted mediator
-  score.  The shift is data-defined, so the per-replicate truth comes from
-  the oracle run with that replicate's fitted score as the intervention base.
-* ``cate``: projection of pixel effects on a synthetic moderator built as an
-  affine transform of the true pixel-effect map (so the pixel-level effect is
-  exactly linear in the moderator, with known slope and intercept).
+* ``ate`` (``T_grid``, ``region_margin``, ``oracle_draws``): every T is a
+  prefix of one simulated series per replicate (common random numbers),
+  which sharpens the bias-versus-T comparison; one oracle truth.
+* ``mediation`` (``max(T_grid)``, ``delta_A``/``delta_B``, ``region_margin``,
+  ``oracle_draws``): indirect effect of a delta shift on the fitted mediator
+  score.  The shift is data-defined, so each replicate's truth comes from the
+  oracle with its fitted score as the intervention base (0 without a bonus).
+* ``cate`` (``max(T_grid)``, ``pixel_factor``, ``moderator_slope``): projection
+  slope on a moderator affine in the true pixel-effect map, so the pixel-level
+  effect is exactly linear in it, with known slope and intercept.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .effects import (
+    EffectEstimate,
     SmoothedOutcomes,
     Z95,
     _estimate_from_weights,
@@ -128,9 +135,9 @@ class EstimatorConfig:
     T_grid: tuple[int, ...] = (500, 2000, 5000)
     L: int = 3
     bandwidth: float = 0.3
-    # Consistency requires the bandwidth to shrink with T; the default
-    # schedule is roughly b ~ T^(-0.44), which makes the (deterministic)
-    # smoothing bias the dominant, strictly decreasing bias component.
+    # Consistency requires the bandwidth to shrink with T (None: ``bandwidth``
+    # at every T); the acceptance schedule is roughly b ~ T^(-0.44), which makes
+    # the (deterministic) smoothing bias the dominant, decreasing component.
     bandwidth_schedule: dict | None = None
     count_A: float = 0.16
     count_B: float = 0.06
@@ -162,30 +169,188 @@ def true_pixel_effect_map(dgp: SyntheticDGP, ivA: TreatmentIntervention,
     return np.bincount(flat[keep], weights=cellvals[keep], minlength=partition.p)
 
 
-def _summary_row(estimand: str, T: int, truth: float, truth_se: float,
-                 est_ipw: np.ndarray, est_hajek: np.ndarray,
-                 cover_ipw: np.ndarray, cover_hajek: np.ndarray,
-                 reject_ipw: np.ndarray, ess_a: np.ndarray, ess_b: np.ndarray,
-                 extra: dict | None = None) -> dict:
+def _bandwidth_for(config: EstimatorConfig, T: int) -> float:
+    if not config.bandwidth_schedule:
+        return config.bandwidth
+    if T not in config.bandwidth_schedule:
+        raise ValueError("bandwidth_schedule has no bandwidth for T=%d" % T)
+    return float(config.bandwidth_schedule[T])
+
+
+def _score(e: EffectEstimate, truth: float, truth_se: float) -> dict:
+    """One replicate's estimate scored against its truth."""
+    return {
+        "ipw": e.ipw, "hajek": e.hajek, "truth": truth, "truth_se": truth_se,
+        "cover_ipw": e.ipw_ci95[0] <= truth <= e.ipw_ci95[1],
+        "cover_hajek": e.ci95[0] <= truth <= e.ci95[1],
+        "reject_ipw": not (e.ipw_ci95[0] <= 0.0 <= e.ipw_ci95[1]),
+        "sign_hajek": (truth != 0.0
+                       and math.copysign(1, e.hajek) == math.copysign(1, truth)),
+        "ess_A": e.ess["A"], "ess_B": e.ess["B"],
+    }
+
+
+def _summary_row(estimand: str, T: int, scores: list[dict], truth: float,
+                 truth_se: float, sign_rate: bool = False) -> dict:
+    col = {k: np.array([s[k] for s in scores], dtype=float) for k in scores[0]}
+    err_ipw = col["ipw"] - col["truth"]
+    err_hajek = col["hajek"] - col["truth"]
     row = {
         "estimand": estimand,
         "T": T,
-        "n_replicates": int(est_ipw.size),
+        "n_replicates": len(scores),
         "truth": truth,
         "truth_se": truth_se,
-        "bias_ipw": float(np.mean(est_ipw) - truth),
-        "bias_hajek": float(np.mean(est_hajek) - truth),
-        "rmse_ipw": float(np.sqrt(np.mean((est_ipw - truth) ** 2))),
-        "rmse_hajek": float(np.sqrt(np.mean((est_hajek - truth) ** 2))),
-        "coverage95_ipw": float(np.mean(cover_ipw)),
-        "coverage95_hajek": float(np.mean(cover_hajek)),
-        "rejection_rate_ipw": float(np.mean(reject_ipw)),
-        "mean_ess_A": float(np.mean(ess_a)),
-        "mean_ess_B": float(np.mean(ess_b)),
+        "bias_ipw": float(np.mean(err_ipw)),
+        "bias_hajek": float(np.mean(err_hajek)),
+        "rmse_ipw": float(np.sqrt(np.mean(err_ipw ** 2))),
+        "rmse_hajek": float(np.sqrt(np.mean(err_hajek ** 2))),
+        "coverage95_ipw": float(np.mean(col["cover_ipw"])),
+        "coverage95_hajek": float(np.mean(col["cover_hajek"])),
+        "rejection_rate_ipw": float(np.mean(col["reject_ipw"])),
     }
-    if extra:
-        row.update(extra)
+    if sign_rate:
+        row["sign_rate_hajek"] = float(np.mean(col["sign_hajek"]))
+    row["mean_ess_A"] = float(np.mean(col["ess_A"]))
+    row["mean_ess_B"] = float(np.mean(col["ess_B"]))
     return row
+
+
+class _Arm:
+    """Interventions and region shared by every replicate of an arm."""
+
+    def __init__(self, dgp: SyntheticDGP, config: EstimatorConfig):
+        self.dgp, self.config, self.L = dgp, config, config.L
+        baseline = normalize_raster(dgp.treatment_intensity())
+        self.ivA = intensified(baseline, config.count_A)
+        self.ivB = intensified(baseline, config.count_B)
+        self.region = interior_region(dgp.grid, config.region_margin)
+
+    def _fit_and_weigh(self, series, num_A: np.ndarray, num_B: np.ndarray):
+        """Fit the propensity on ``series`` and weigh both arms; the log
+        numerators may span a longer series, whose first periods are used."""
+        fit = fit_poisson_intensity(series, self.dgp.covariates.keys(),
+                                    self.config.propensity_options)
+        den = propensity_log_densities(series, fit)
+        return (window_weights(num_A[:, :series.T] - den, self.L),
+                window_weights(num_B[:, :series.T] - den, self.L))
+
+
+class AteArm(_Arm):
+    """Intensification contrast at every T of the grid, against one oracle truth."""
+
+    def __init__(self, dgp, config, ss, replicates):
+        super().__init__(dgp, config)
+        self.T_grid = tuple(sorted(config.T_grid))
+        self.specs = [SmoothingSpec(_bandwidth_for(config, T)) for T in self.T_grid]
+        self.truth, self.truth_se = oracle_effect(
+            dgp, [], InterventionPair(treatment=self.ivA, L=self.L),
+            InterventionPair(treatment=self.ivB, L=self.L), self.L, self.region,
+            config.oracle_draws, ss.spawn(1)[0])
+
+    def replicate(self, r: int, seed) -> list[dict]:
+        series = simulate_series(self.dgp, self.T_grid[-1], seed)
+        num_A = intervention_log_densities(series, self.ivA)
+        num_B = intervention_log_densities(series, self.ivB)
+        scores = []
+        for T, spec in zip(self.T_grid, self.specs):
+            sub = prefix_series(series, T)
+            wA, wB = self._fit_and_weigh(sub, num_A, num_B)
+            e = _estimate_from_weights(SmoothedOutcomes(sub, spec), self.region,
+                                       wA, wB, self.L)
+            scores.append(_score(e, self.truth, self.truth_se))
+        return scores
+
+    def rows(self, records: list) -> list[dict]:
+        return [_summary_row("ate", T, [rec[i] for rec in records],
+                             self.truth, self.truth_se)
+                for i, T in enumerate(self.T_grid)]
+
+
+class MediationArm(_Arm):
+    """Indirect effect of the delta shift, against a per-replicate oracle truth."""
+
+    def __init__(self, dgp, config, ss, replicates):
+        if dgp.mediator_coef is None:
+            raise ValueError("mediation experiment needs a DGP with a mediator rule")
+        super().__init__(dgp, config)
+        self.T = max(config.T_grid)
+        self.spec = SmoothingSpec(_bandwidth_for(config, self.T))
+        target = dgp.mediator_positive
+        medA, medB = (None if d is None else MediatorIntervention(d, target)
+                      for d in (config.delta_A, config.delta_B))
+        self.pairA = InterventionPair(treatment=self.ivA, mediator=medA, L=self.L)
+        self.pairB = InterventionPair(treatment=self.ivB, mediator=medB, L=self.L)
+        # The indirect effect contrasts the two mediator shifts under F_W'':
+        self.pairIEa = InterventionPair(treatment=self.ivB, mediator=medA, L=self.L)
+        self.cov_names = [n for n in sorted(dgp.mediator_coef) if n != "intercept"]
+        self.stages = dgp.true_mediator_model().stages
+        self.oracle_seeds = ss.spawn(1)[0].spawn(replicates)
+
+    def replicate(self, r: int, seed) -> dict:
+        series = simulate_series(self.dgp, self.T, seed)
+        fit = fit_poisson_intensity(series, self.dgp.covariates.keys(),
+                                    self.config.propensity_options)
+        score = fit_mediator_score(series, self.cov_names, self.stages)
+        e = estimate_mediation_effects(series, fit, score, self.pairA, self.pairB,
+                                       self.spec, self.region, self.L).indirect
+        if self.dgp.mediator_bonus == 0.0:
+            return _score(e, 0.0, 0.0)
+        truth, truth_se = oracle_effect(self.dgp, [], self.pairIEa, self.pairB,
+                                        self.L, self.region, self.config.oracle_draws,
+                                        self.oracle_seeds[r], mediator_model=score)
+        return _score(e, truth, truth_se)
+
+    def rows(self, records: list[dict]) -> list[dict]:
+        truth, truth_se = (float(np.mean([s[k] for s in records]))
+                           for k in ("truth", "truth_se"))
+        return [_summary_row("mediation_ie", self.T, records, truth, truth_se,
+                             sign_rate=True)]
+
+
+class CateArm(_Arm):
+    """Projection slope on a moderator that is affine in the true pixel effects."""
+
+    def __init__(self, dgp, config, ss, replicates):
+        super().__init__(dgp, config)
+        self.T = max(config.T_grid)
+        self.spec = SmoothingSpec(_bandwidth_for(config, self.T))
+        self.partition = PixelPartition.blocks(dgp.grid, config.pixel_factor)
+        true_map = true_pixel_effect_map(dgp, self.ivA, self.ivB, self.L, self.partition)
+        spread = float(np.std(true_map))
+        if spread == 0.0:
+            raise ValueError("true pixel effects are constant; moderator undefined")
+        self.slope = config.moderator_slope * spread
+        self.intercept = float(np.mean(true_map))
+        moderator = (true_map - self.intercept) / self.slope
+        self.panel = ModeratorPanel(partition=self.partition, values={"m": moderator})
+
+    def replicate(self, r: int, seed) -> tuple:
+        series = simulate_series(self.dgp, self.T, seed)
+        wA, wB = self._fit_and_weigh(series, intervention_log_densities(series, self.ivA),
+                                     intervention_log_densities(series, self.ivB))
+        proj = estimate_cate(SmoothedOutcomes(series, self.spec), self.partition,
+                             wA, wB, self.panel, "m", ProjectionBasis.linear())
+        est, lo, hi = proj.coefficient_interval(1, z=Z95)
+        return est, lo <= self.slope <= hi, proj.beta_bar[0]
+
+    def rows(self, records: list[tuple]) -> list[dict]:
+        slopes, covers, intercepts = (np.array(c, dtype=float) for c in zip(*records))
+        return [{
+            "estimand": "cate_slope",
+            "T": self.T,
+            "n_replicates": len(records),
+            "truth": self.slope,
+            "truth_se": 0.0,
+            "bias_slope": float(np.mean(slopes) - self.slope),
+            "rmse_slope": float(np.sqrt(np.mean((slopes - self.slope) ** 2))),
+            "coverage95_slope": float(np.mean(covers)),
+            "mean_intercept": float(np.mean(intercepts)),
+            "true_intercept": self.intercept,
+        }]
+
+
+ARMS = {"ate": AteArm, "mediation": MediationArm, "cate": CateArm}
 
 
 def coverage_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
@@ -194,208 +359,14 @@ def coverage_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
 
     Returns one row per T (ate) or one row per arm (mediation, cate) with
     bias, RMSE, CI coverage, rejection rates, and mean effective sample
-    sizes.
+    sizes.  Replicate ``r`` runs on child ``r`` of ``SeedSequence(seed)``;
+    the oracle's seeds are spawned after those.
     """
     if replicates < 50:
         raise ValueError("use at least 50 replicates")
-    if config.estimand == "ate":
-        return _ate_experiment(dgp, config, replicates, seed)
-    if config.estimand == "mediation":
-        return _mediation_experiment(dgp, config, replicates, seed)
-    if config.estimand == "cate":
-        return _cate_experiment(dgp, config, replicates, seed)
-    raise ValueError("estimand must be 'ate', 'mediation', or 'cate'")
-
-
-def _interventions(dgp: SyntheticDGP, config: EstimatorConfig):
-    baseline = normalize_raster(dgp.treatment_intensity())
-    ivA = intensified(baseline, config.count_A)
-    ivB = intensified(baseline, config.count_B)
-    return ivA, ivB
-
-
-def _bandwidth_for(config: EstimatorConfig, T: int) -> float:
-    if config.bandwidth_schedule:
-        return float(config.bandwidth_schedule[T])
-    return config.bandwidth
-
-
-def _ate_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
-                    replicates: int, seed) -> list[dict]:
-    ivA, ivB = _interventions(dgp, config)
-    pairA = InterventionPair(treatment=ivA, L=config.L)
-    pairB = InterventionPair(treatment=ivB, L=config.L)
-    region = interior_region(dgp.grid, config.region_margin)
-    L = config.L
-    T_grid = tuple(sorted(config.T_grid))
-    T_max = T_grid[-1]
-
+    if config.estimand not in ARMS:
+        raise ValueError("estimand must be 'ate', 'mediation', or 'cate'")
     ss = np.random.SeedSequence(seed)
-    rep_seeds = ss.spawn(replicates)
-    truth, truth_se = oracle_effect(dgp, [], pairA, pairB, L, region,
-                                    config.oracle_draws, ss.spawn(1)[0])
-
-    est = {T: {"ipw": [], "hajek": [], "cov_i": [], "cov_h": [], "rej": [],
-               "ess_a": [], "ess_b": []} for T in T_grid}
-    for r in range(replicates):
-        series = simulate_series(dgp, T_max, rep_seeds[r])
-        num_A = intervention_log_densities(series, ivA)
-        num_B = intervention_log_densities(series, ivB)
-        for T in T_grid:
-            sub = prefix_series(series, T)
-            fit = fit_poisson_intensity(sub, dgp.covariates.keys(),
-                                        config.propensity_options)
-            den = propensity_log_densities(sub, fit)
-            wA = window_weights(num_A[:, :T] - den, L)
-            wB = window_weights(num_B[:, :T] - den, L)
-            smoothed = SmoothedOutcomes(sub, SmoothingSpec(_bandwidth_for(config, T)))
-            e = _estimate_from_weights(smoothed, region, wA, wB, L)
-            bucket = est[T]
-            bucket["ipw"].append(e.ipw)
-            bucket["hajek"].append(e.hajek)
-            bucket["cov_i"].append(e.ipw_ci95[0] <= truth <= e.ipw_ci95[1])
-            bucket["cov_h"].append(e.ci95[0] <= truth <= e.ci95[1])
-            bucket["rej"].append(not (e.ipw_ci95[0] <= 0.0 <= e.ipw_ci95[1]))
-            bucket["ess_a"].append(e.ess["A"])
-            bucket["ess_b"].append(e.ess["B"])
-
-    rows = []
-    for T in T_grid:
-        b = est[T]
-        rows.append(_summary_row(
-            "ate", T, truth, truth_se,
-            np.array(b["ipw"]), np.array(b["hajek"]),
-            np.array(b["cov_i"], dtype=float), np.array(b["cov_h"], dtype=float),
-            np.array(b["rej"], dtype=float),
-            np.array(b["ess_a"]), np.array(b["ess_b"]),
-        ))
-    return rows
-
-
-def _mediation_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
-                          replicates: int, seed) -> list[dict]:
-    if dgp.mediator_coef is None:
-        raise ValueError("mediation experiment needs a DGP with a mediator rule")
-    ivA, ivB = _interventions(dgp, config)
-    region = interior_region(dgp.grid, config.region_margin)
-    spec = SmoothingSpec(bandwidth=config.bandwidth)
-    L = config.L
-    T = max(config.T_grid)
-    target = dgp.mediator_positive
-    medA = (MediatorIntervention(delta=config.delta_A, target_mark=target)
-            if config.delta_A is not None else None)
-    medB = (MediatorIntervention(delta=config.delta_B, target_mark=target)
-            if config.delta_B is not None else None)
-    pairA = InterventionPair(treatment=ivA, mediator=medA, L=L)
-    pairB = InterventionPair(treatment=ivB, mediator=medB, L=L)
-    # The indirect effect contrasts the two mediator shifts under F_W'':
-    pairIEa = InterventionPair(treatment=ivB, mediator=medA, L=L)
-
-    ss = np.random.SeedSequence(seed)
-    rep_seeds = ss.spawn(replicates)
-    oracle_seeds = ss.spawn(1)[0].spawn(replicates)
-    cov_names = [n for n in sorted(dgp.mediator_coef) if n != "intercept"]
-
-    res = {k: [] for k in ("ipw", "hajek", "cov_i", "cov_h", "rej", "sign",
-                           "ess_a", "ess_b", "truth", "truth_se")}
-    for r in range(replicates):
-        series = simulate_series(dgp, T, rep_seeds[r])
-        fit = fit_poisson_intensity(series, dgp.covariates.keys(),
-                                    config.propensity_options)
-        score = fit_mediator_score(
-            series, cov_names, dgp.true_mediator_model().stages
-        )
-        effects = estimate_mediation_effects(series, fit, score, pairA, pairB,
-                                             spec, region, L)
-        e = effects.indirect
-        if dgp.mediator_bonus == 0.0:
-            truth, truth_se = 0.0, 0.0
-        else:
-            truth, truth_se = oracle_effect(dgp, [], pairIEa, pairB, L, region,
-                                            config.oracle_draws, oracle_seeds[r],
-                                            mediator_model=score)
-        res["ipw"].append(e.ipw)
-        res["hajek"].append(e.hajek)
-        res["cov_i"].append(e.ipw_ci95[0] <= truth <= e.ipw_ci95[1])
-        res["cov_h"].append(e.ci95[0] <= truth <= e.ci95[1])
-        res["rej"].append(not (e.ipw_ci95[0] <= 0.0 <= e.ipw_ci95[1]))
-        res["sign"].append(truth != 0.0 and math.copysign(1, e.hajek) == math.copysign(1, truth))
-        res["ess_a"].append(e.ess["A"])
-        res["ess_b"].append(e.ess["B"])
-        res["truth"].append(truth)
-        res["truth_se"].append(truth_se)
-
-    ipw = np.array(res["ipw"])
-    hajek = np.array(res["hajek"])
-    truths = np.array(res["truth"])
-    mean_truth = float(np.mean(truths))
-    row = {
-        "estimand": "mediation_ie",
-        "T": T,
-        "n_replicates": replicates,
-        "truth": mean_truth,
-        "truth_se": float(np.mean(res["truth_se"])),
-        "bias_ipw": float(np.mean(ipw - truths)),
-        "bias_hajek": float(np.mean(hajek - truths)),
-        "rmse_ipw": float(np.sqrt(np.mean((ipw - truths) ** 2))),
-        "rmse_hajek": float(np.sqrt(np.mean((hajek - truths) ** 2))),
-        "coverage95_ipw": float(np.mean(res["cov_i"])),
-        "coverage95_hajek": float(np.mean(res["cov_h"])),
-        "rejection_rate_ipw": float(np.mean(res["rej"])),
-        "sign_rate_hajek": float(np.mean(res["sign"])),
-        "mean_ess_A": float(np.mean(res["ess_a"])),
-        "mean_ess_B": float(np.mean(res["ess_b"])),
-    }
-    return [row]
-
-
-def _cate_experiment(dgp: SyntheticDGP, config: EstimatorConfig,
-                     replicates: int, seed) -> list[dict]:
-    ivA, ivB = _interventions(dgp, config)
-    spec = SmoothingSpec(bandwidth=config.bandwidth)
-    L = config.L
-    T = max(config.T_grid)
-    partition = PixelPartition.blocks(dgp.grid, config.pixel_factor)
-
-    true_map = true_pixel_effect_map(dgp, ivA, ivB, L, partition)
-    spread = float(np.std(true_map))
-    if spread == 0.0:
-        raise ValueError("true pixel effects are constant; moderator undefined")
-    slope = config.moderator_slope * spread
-    intercept = float(np.mean(true_map))
-    moderator = (true_map - intercept) / slope
-    panel = ModeratorPanel(partition=partition, values={"m": moderator})
-    basis = ProjectionBasis.linear()
-
-    ss = np.random.SeedSequence(seed)
-    rep_seeds = ss.spawn(replicates)
-
-    slopes, covers, intercepts = [], [], []
-    for r in range(replicates):
-        series = simulate_series(dgp, T, rep_seeds[r])
-        fit = fit_poisson_intensity(series, dgp.covariates.keys(),
-                                    config.propensity_options)
-        den = propensity_log_densities(series, fit)
-        wA = window_weights(intervention_log_densities(series, ivA) - den, L)
-        wB = window_weights(intervention_log_densities(series, ivB) - den, L)
-        smoothed = SmoothedOutcomes(series, spec)
-        proj = estimate_cate(smoothed, partition, wA, wB, panel, "m", basis)
-        est, lo, hi = proj.coefficient_interval(1, z=Z95)
-        slopes.append(est)
-        covers.append(lo <= slope <= hi)
-        intercepts.append(proj.beta_bar[0])
-
-    slopes = np.array(slopes)
-    row = {
-        "estimand": "cate_slope",
-        "T": T,
-        "n_replicates": replicates,
-        "truth": slope,
-        "truth_se": 0.0,
-        "bias_slope": float(np.mean(slopes) - slope),
-        "rmse_slope": float(np.sqrt(np.mean((slopes - slope) ** 2))),
-        "coverage95_slope": float(np.mean(np.asarray(covers, dtype=float))),
-        "mean_intercept": float(np.mean(intercepts)),
-        "true_intercept": intercept,
-    }
-    return [row]
+    seeds = ss.spawn(replicates)
+    arm = ARMS[config.estimand](dgp, config, ss, replicates)
+    return arm.rows([arm.replicate(r, s) for r, s in enumerate(seeds)])

@@ -79,6 +79,20 @@ def test_missing_config_exit_code_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--replicates", "10"], "use at least 50 replicates"),
+    (["--estimand", "mediation"], "needs a DGP with a mediator rule"),
+])
+def test_validate_value_error_is_one_error_line(tmp_path, capsys, flags, message):
+    out = tmp_path / "validation"
+    assert main(["validate", "--out", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ate_pipeline_deterministic_across_threads(tmp_path):
     cfg = make_workspace(tmp_path)
     assert main(["ate", "--config", str(cfg), "--threads", "1",

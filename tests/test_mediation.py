@@ -356,3 +356,20 @@ def test_zero_probability_mark_is_overlap_violation():
     X = np.zeros((1, 0))
     with pytest.raises(OverlapViolationError):
         mediator_log_density(model, ["none"], X)  # P(none) = expit(-80) underflows
+
+
+def test_passthrough_ratios_skip_the_covariate_gather(med_world):
+    from geocausal.mediation import mediator_log_ratios
+    from geocausal.patterns import PatternSeries
+
+    dgp, series, fit, score, baseline = med_world
+    t = next(t for t in range(1, series.T + 1) if len(series.treatment(t)) > 0)
+    row, col = series.grid.cell_index(series.treatment(t).points[:1])
+    values = series.covariate("bump_a", t).values.copy()
+    values[row, col] = np.nan
+    covs = dict(series.covariates, bump_a=Raster(series.grid, values))
+    holed = PatternSeries(series.grid, series.treatments, series.outcomes, covs)
+    ratios = mediator_log_ratios(holed, score, None)
+    assert ratios.tobytes() == np.zeros(series.T).tobytes()
+    with pytest.raises(ValueError, match="NODATA .*period %d" % t):
+        mediator_log_ratios(holed, score, MediatorIntervention(2.5, "hit"))
