@@ -4,6 +4,7 @@ mediate, simulate, validate, report."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -145,9 +146,9 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         dgp = _dgp_from(args.dgp)
-        config = _estimator_config_from(args.dgp)
-        config.estimand = args.estimand
         try:
+            config = _estimator_config_from(args.dgp)
+            config.estimand = args.estimand
             rows = coverage_experiment(dgp, config, args.replicates, args.seed)
         except ValueError as err:
             print("error: %s" % err, file=sys.stderr)
@@ -194,14 +195,28 @@ def _estimator_config_from(path: Path | None) -> EstimatorConfig:
     est = spec.get("estimator", {})
     for key in ("L", "bandwidth", "count_A", "count_B", "delta_A", "delta_B",
                 "pixel_factor", "oracle_draws", "region_margin"):
-        if key in est:
-            setattr(cfg, key, est[key])
+        if key in est and not (key.startswith("delta_") and est[key] is None):
+            integral = key in ("L", "pixel_factor", "oracle_draws")
+            setattr(cfg, key, _number(key, est[key], integral))
     if "T_grid" in est:
-        cfg.T_grid = tuple(int(v) for v in est["T_grid"])
+        cfg.T_grid = tuple(_number("T_grid", v, True) for v in est["T_grid"])
     if "bandwidth_schedule" in est:
-        cfg.bandwidth_schedule = {int(k): float(v)
+        cfg.bandwidth_schedule = {_number("bandwidth_schedule", k, True):
+                                  _number("bandwidth_schedule", v, False)
                                   for k, v in est["bandwidth_schedule"].items()}
     return cfg
+
+
+def _number(key: str, value, integral: bool):
+    """A JSON estimator value as a finite float, or an int where ``integral``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (number.is_integer() if integral else math.isfinite(number)):
+        raise ValueError("estimator.%s must be %s, got %r"
+                         % (key, "an integer" if integral else "a finite number", value))
+    return int(number) if integral else number
 
 
 if __name__ == "__main__":

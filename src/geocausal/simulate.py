@@ -362,16 +362,13 @@ def oracle_effect(dgp: SyntheticDGP, history, ivA: InterventionPair,
     treatment intervention (a pure mediator contrast), the draws are coupled:
     one treatment path per draw and one uniform per point deciding the mark
     under both shifted distributions, which removes almost all of the
-    Monte-Carlo variance of the difference.  Every path needs at least 100
+    Monte-Carlo variance of the difference.  Otherwise it runs two plain
+    :func:`mc_oracle` on two spawned seeds.  Both paths need at least 100
     draws and an ``L`` that both pairs share.
     """
     _check_draws(n_draws, L, ivA, ivB)
     if ivA.treatment is ivB.treatment and dgp.mediator_bonus != 0.0:
         return _oracle_effect_coupled(dgp, ivA, ivB, L, region, n_draws, seed,
-                                      mediator_model=mediator_model)
-    if (ivA.mediator == ivB.mediator and _same_shape(ivA.treatment, ivB.treatment)
-            and ivA.treatment.expected_count > ivB.treatment.expected_count):
-        return _oracle_effect_thinned(dgp, ivA, ivB, L, region, n_draws, seed,
                                       mediator_model=mediator_model)
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss = base.spawn(2)
@@ -380,65 +377,6 @@ def oracle_effect(dgp: SyntheticDGP, history, ivA: InterventionPair,
     b = mc_oracle(dgp, history, ivB, L, region, n_draws, ss[1],
                   mediator_model=mediator_model)
     return a.value - b.value, math.hypot(a.se, b.se)
-
-
-def _same_shape(a: TreatmentIntervention, b: TreatmentIntervention) -> bool:
-    if len(a.rasters) != 1 or len(b.rasters) != 1:
-        return False
-    va = a.rasters[0].values / a.expected_count
-    vb = b.rasters[0].values / b.expected_count
-    return bool(np.allclose(va, vb, rtol=1e-12, atol=1e-15))
-
-
-def _oracle_effect_thinned(dgp: SyntheticDGP, ivA: InterventionPair,
-                           ivB: InterventionPair, L: int, region: Region,
-                           n_draws: int, seed,
-                           mediator_model: MediatorScoreModel | None = None
-                           ) -> tuple[float, float]:
-    """Contrast of two intensifications of one baseline, by thinned event draws.
-
-    A Poisson(cB) pattern is a thinned subset of a Poisson(cA) pattern with
-    the same spatial law, so shared events cancel and the contrast rides on
-    the difference process with rate cA - cB.  Because the outcome rule is
-    linear in event mass and counts are independent of locations, the Poisson
-    count integrates out exactly (Rao-Blackwellization); the Monte Carlo runs
-    over ``n_draws`` single-event locations (and marks), each contributing
-    its region kernel mass.
-    """
-    rng = np.random.default_rng(seed)
-    grid = dgp.grid
-    region_mask = region.resolve_mask(grid).ravel()
-    delta_count = ivA.treatment.expected_count - ivB.treatment.expected_count
-    baseline = Raster(grid, ivA.treatment.rasters[0].values
-                      / ivA.treatment.expected_count)
-
-    model = _mark_model(dgp, mediator_model)
-    use_marks = dgp.mediator_bonus != 0.0 and model is not None
-
-    contributing = [lag for lag in range(1, dgp.max_lag + 1) if lag < L]
-    coef_sum = sum(dgp.carryover[lag - 1] for lag in contributing)
-    if not contributing:
-        return 0.0, 0.0
-
-    # Draw all event locations at once: cells by multinomial, uniform jitter.
-    mass_cells = (baseline.values * grid.cell_area).ravel()
-    p_cells = mass_cells / mass_cells.sum()
-    counts = rng.multinomial(n_draws, p_cells)
-    idx = np.repeat(np.arange(grid.n_cells), counts)
-    u = rng.uniform(size=(n_draws, 2))
-    pts = grid.jittered_points(idx, u[:, 0], u[:, 1])
-
-    if use_marks:
-        active = _positive(dgp, model, _mark_covariates(dgp, model, idx),
-                           rng.uniform(size=n_draws), ivA.mediator)
-    else:
-        active = np.zeros(n_draws)
-
-    x = (_region_kernel_mass(dgp, region_mask, pts)
-         * (coef_sum + dgp.mediator_bonus * len(contributing) * active))
-    mean = delta_count * float(np.mean(x))
-    se = delta_count * float(np.std(x, ddof=1) / math.sqrt(n_draws))
-    return mean, se
 
 
 def _oracle_effect_coupled(dgp: SyntheticDGP, ivA: InterventionPair,
@@ -488,8 +426,9 @@ def expected_region_outcome(dgp: SyntheticDGP, history, iv: InterventionPair,
     expected mark-active mass is intensity times the (shifted) mark
     probability; both enter the outcome rule linearly, so the spillover part
     is the separable normal-CDF field of the intervention intensity (exact
-    under the piecewise-uniform jitter convention).  Used as the exact
-    cross-check of :func:`mc_oracle` in the tests.
+    under the piecewise-uniform jitter convention).  The ``ate`` coverage
+    arm takes its truth from two of these calls, and the tests use it as the
+    exact cross-check of :func:`mc_oracle`.
     """
     grid = dgp.grid
     region_mask = region.resolve_mask(grid).ravel()

@@ -1,4 +1,4 @@
-"""Coverage experiments: run the full estimation stack against oracle truth.
+"""Coverage experiments: run the full estimation stack against known truth.
 
 One replicate = simulate a series, fit the nuisance models, estimate, and
 score against the truth; rows aggregate bias, RMSE, CI coverage, and weight
@@ -8,11 +8,13 @@ after the replicates', and a picklable arm maps ``(r, seed)`` to a record.
 Every arm reads ``L``, ``count_A``/``count_B``, ``propensity_options`` and,
 per T, the bandwidth ``bandwidth_schedule[T]`` if a schedule is set, else
 ``bandwidth``.  Bad inputs, such as a schedule missing one of the arm's T,
-raise ``ValueError`` before any oracle draw (``geocausal validate``: exit 2).
+raise ``ValueError`` before any truth is computed (``geocausal validate``:
+exit 2).  Only the mediation arm reads ``oracle_draws``.
 
-* ``ate`` (``T_grid``, ``region_margin``, ``oracle_draws``): every T is a
-  prefix of one simulated series per replicate (common random numbers),
-  which sharpens the bias-versus-T comparison; one oracle truth.
+* ``ate`` (``T_grid``, ``region_margin``): every T is a prefix of one
+  simulated series per replicate (common random numbers), which sharpens the
+  bias-versus-T comparison.  The outcome rule is linear in event mass, so the
+  truth is exact: two :func:`expected_region_outcome` calls, ``truth_se`` 0.
 * ``mediation`` (``max(T_grid)``, ``delta_A``/``delta_B``, ``region_margin``,
   ``oracle_draws``): indirect effect of a delta shift on the fitted mediator
   score.  The shift is data-defined, so each replicate's truth comes from the
@@ -61,8 +63,8 @@ from .interventions import (
 from .mediation import estimate_mediation_effects, fit_mediator_score
 from .patterns import SmoothingSpec
 from .propensity import PropensityOptions, fit_poisson_intensity
-from .simulate import (SyntheticDGP, exact_expected_spillover, oracle_effect,
-                       prefix_series, simulate_series)
+from .simulate import (SyntheticDGP, exact_expected_spillover, expected_region_outcome,
+                       oracle_effect, prefix_series, simulate_series)
 
 
 def _gaussian_bump(grid: RasterGrid, cx: float, cy: float, sd: float) -> Raster:
@@ -142,7 +144,7 @@ class EstimatorConfig:
     count_A: float = 0.16
     count_B: float = 0.06
     region_margin: float = 1.5
-    oracle_draws: int = 150_000
+    oracle_draws: int = 150_000           # mediation only: per-replicate oracle draws
     delta_A: float | None = None          # mediation: shift applied under arm A
     delta_B: float | None = None          # None = pass-through
     pixel_factor: int = 8                 # cate
@@ -237,16 +239,16 @@ class _Arm:
 
 
 class AteArm(_Arm):
-    """Intensification contrast at every T of the grid, against one oracle truth."""
+    """Intensification contrast at every T of the grid, against its exact truth."""
 
     def __init__(self, dgp, config, ss, replicates):
         super().__init__(dgp, config)
         self.T_grid = tuple(sorted(config.T_grid))
         self.specs = [SmoothingSpec(_bandwidth_for(config, T)) for T in self.T_grid]
-        self.truth, self.truth_se = oracle_effect(
-            dgp, [], InterventionPair(treatment=self.ivA, L=self.L),
-            InterventionPair(treatment=self.ivB, L=self.L), self.L, self.region,
-            config.oracle_draws, ss.spawn(1)[0])
+        outcomes = [expected_region_outcome(dgp, [], InterventionPair(iv, L=self.L),
+                                            self.L, self.region)
+                    for iv in (self.ivA, self.ivB)]
+        self.truth, self.truth_se = outcomes[0] - outcomes[1], 0.0
 
     def replicate(self, r: int, seed) -> list[dict]:
         series = simulate_series(self.dgp, self.T_grid[-1], seed)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocausal.cli import main
+from geocausal.cli import _estimator_config_from, main
 from geocausal.io import dump_json, load_json, write_ascii_grid, write_events_csv
 from geocausal.simulate import simulate_series
 from geocausal.validation import default_dgp
@@ -86,6 +86,37 @@ def test_missing_config_exit_code_2():
 def test_validate_value_error_is_one_error_line(tmp_path, capsys, flags, message):
     out = tmp_path / "validation"
     assert main(["validate", "--out", str(out)] + flags) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_validate_coerces_estimator_values(tmp_path):
+    dgp = tmp_path / "dgp.json"
+    dump_json({"estimator": {"L": "3", "oracle_draws": 2000.0, "bandwidth": "0.5",
+                             "delta_A": 2, "delta_B": None, "T_grid": [60.0],
+                             "bandwidth_schedule": {"60": "0.4"}}}, dgp)
+    cfg = _estimator_config_from(dgp)
+    assert (cfg.L, cfg.oracle_draws, cfg.bandwidth) == (3, 2000, 0.5)
+    assert type(cfg.L) is int and type(cfg.oracle_draws) is int
+    assert (cfg.delta_A, cfg.delta_B, cfg.T_grid) == (2.0, None, (60,))
+    assert cfg.bandwidth_schedule == {60: 0.4}
+
+
+@pytest.mark.parametrize("estimator,message", [
+    ({"L": "three"}, "estimator.L must be an integer, got 'three'"),
+    ({"oracle_draws": 1500.5}, "estimator.oracle_draws must be an integer"),
+    ({"pixel_factor": [8]}, "estimator.pixel_factor must be an integer"),
+    ({"count_A": None}, "estimator.count_A must be a finite number"),
+    ({"T_grid": [50, "x"]}, "estimator.T_grid must be an integer"),
+])
+def test_validate_bad_estimator_value_is_one_error_line(tmp_path, capsys,
+                                                        estimator, message):
+    dgp, out = tmp_path / "dgp.json", tmp_path / "validation"
+    dump_json({"estimator": estimator}, dgp)
+    assert main(["validate", "--dgp", str(dgp), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and message in line

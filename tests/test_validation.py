@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 from geocausal import validation
+from geocausal.geometry import normalize_raster
+from geocausal.interventions import InterventionPair, intensified
+from geocausal.simulate import expected_region_outcome
 from geocausal.validation import (
+    AteArm,
     CateArm,
     EstimatorConfig,
     MediationArm,
     coverage_experiment,
     default_dgp,
+    interior_region,
 )
 
 SUMMARY_KEYS = ["estimand", "T", "n_replicates", "truth", "truth_se", "bias_ipw",
@@ -48,7 +53,7 @@ def cate_case():
 # sha256 of json.dumps(rows, sort_keys=True) for 50 replicates at seed 1.
 PINNED = [
     ("ate", ate_case, ATE_KEYS,
-     "f7b4a4c09c0aa0bc32f894c6c8c6c083c6616197415e7ae2b636d7e53fbde93c"),
+     "914a6a874517a52e5dbf3e0ad3b52d692567473ee02aa69a99ddce160abac724"),
     ("mediation-signal", lambda: mediation_case(8.0), MEDIATION_KEYS,
      "a6bb18fb84bc50df10dbc77b89a3b5f695ee0a30a89251b2cc3b8a00ee36f0d8"),
     ("mediation-null", lambda: mediation_case(0.0), MEDIATION_KEYS,
@@ -65,6 +70,33 @@ def test_rows_are_pinned(name, case, keys, digest):
     assert [list(row) for row in rows] == [keys] * len(rows)
     blob = json.dumps(rows, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle ran")
+
+
+def test_ate_estimates_are_pinned_and_truth_is_exact(monkeypatch):
+    monkeypatch.setattr(validation, "oracle_effect", no_oracle)
+    dgp, config = ate_case()
+    ss = np.random.SeedSequence(1)
+    seeds = ss.spawn(50)
+    arm = AteArm(dgp, config, ss, 50)
+    records = [arm.replicate(r, s) for r, s in enumerate(seeds)]
+    # the estimates do not depend on how the truth is computed
+    bits = [[(s["ipw"], s["hajek"], s["ess_A"], s["ess_B"]) for s in rec]
+            for rec in records]
+    assert hashlib.sha256(json.dumps(bits).encode()).hexdigest() == (
+        "34919f1ba3794742d382314d52f03192726eb3275d7f18996c5ebe1ed2e85590")
+    # built as perfbench's validate-ate check builds it: at truth_se 0 that
+    # check holds only at equal bits
+    baseline = normalize_raster(dgp.treatment_intensity())
+    region = interior_region(dgp.grid, config.region_margin)
+    pairs = [InterventionPair(intensified(baseline, count), L=config.L)
+             for count in (config.count_A, config.count_B)]
+    exact = [expected_region_outcome(dgp, [], p, config.L, region) for p in pairs]
+    assert arm.truth == exact[0] - exact[1]
+    assert arm.truth_se == 0.0
 
 
 @pytest.mark.parametrize("cls,case", [(MediationArm, lambda: mediation_case(8.0)),
@@ -91,9 +123,8 @@ def test_error_paths():
 
 
 def test_missing_schedule_entry_names_T_before_the_oracle(monkeypatch):
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran")
     monkeypatch.setattr(validation, "oracle_effect", no_oracle)
+    monkeypatch.setattr(validation, "expected_region_outcome", no_oracle)
     dgp, config = ate_case()
     config.bandwidth_schedule = {50: 1.2}
     with pytest.raises(ValueError, match="T=100"):
