@@ -131,7 +131,11 @@ def main(argv=None) -> int:
         return _run_estimands(args, [args.command])
 
     if args.command == "simulate":
-        dgp = _dgp_from(args.dgp)
+        try:
+            dgp = _dgp_from(args.dgp)
+        except ValueError as err:
+            print("error: %s" % err, file=sys.stderr)
+            return 2
         from .simulate import simulate_series
 
         series = simulate_series(dgp, args.T, args.seed)
@@ -145,8 +149,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "validate":
-        dgp = _dgp_from(args.dgp)
         try:
+            dgp = _dgp_from(args.dgp)
             config = _estimator_config_from(args.dgp)
             config.estimand = args.estimand
             rows = coverage_experiment(dgp, config, args.replicates, args.seed)
@@ -179,11 +183,18 @@ def _dgp_from(path: Path | None):
     if path is None:
         return default_dgp()
     spec = io.load_json(path)
-    kwargs = {k: spec[k] for k in (
-        "treatment_rate", "mu0_rate", "spillover_range", "mediator",
-        "mediator_bonus") if k in spec}
+    kwargs = {k: _number("dgp." + k, spec[k], False) for k in (
+        "treatment_rate", "mu0_rate", "spillover_range", "mediator_bonus") if k in spec}
+    if "mediator" in spec:
+        if not isinstance(spec["mediator"], bool):
+            raise ValueError("dgp.mediator must be true or false, got %r" % (spec["mediator"],))
+        kwargs["mediator"] = spec["mediator"]
     if "carryover" in spec:
-        kwargs["carryover"] = tuple(float(v) for v in spec["carryover"])
+        if not isinstance(spec["carryover"], list):
+            raise ValueError("dgp.carryover must be a list of finite numbers, got %r"
+                             % (spec["carryover"],))
+        kwargs["carryover"] = tuple(_number("dgp.carryover", v, False)
+                                    for v in spec["carryover"])
     return default_dgp(**kwargs)
 
 
@@ -197,24 +208,24 @@ def _estimator_config_from(path: Path | None) -> EstimatorConfig:
                 "pixel_factor", "oracle_draws", "region_margin"):
         if key in est and not (key.startswith("delta_") and est[key] is None):
             integral = key in ("L", "pixel_factor", "oracle_draws")
-            setattr(cfg, key, _number(key, est[key], integral))
+            setattr(cfg, key, _number("estimator." + key, est[key], integral))
     if "T_grid" in est:
-        cfg.T_grid = tuple(_number("T_grid", v, True) for v in est["T_grid"])
+        cfg.T_grid = tuple(_number("estimator.T_grid", v, True) for v in est["T_grid"])
     if "bandwidth_schedule" in est:
-        cfg.bandwidth_schedule = {_number("bandwidth_schedule", k, True):
-                                  _number("bandwidth_schedule", v, False)
+        cfg.bandwidth_schedule = {_number("estimator.bandwidth_schedule", k, True):
+                                  _number("estimator.bandwidth_schedule", v, False)
                                   for k, v in est["bandwidth_schedule"].items()}
     return cfg
 
 
 def _number(key: str, value, integral: bool):
-    """A JSON estimator value as a finite float, or an int where ``integral``."""
+    """A JSON value of ``key`` as a finite float, or an int where ``integral``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not (number.is_integer() if integral else math.isfinite(number)):
-        raise ValueError("estimator.%s must be %s, got %r"
+        raise ValueError("%s must be %s, got %r"
                          % (key, "an integer" if integral else "a finite number", value))
     return int(number) if integral else number
 

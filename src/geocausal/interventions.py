@@ -62,7 +62,7 @@ class TreatmentIntervention:
     def raster_for_offset(self, offset: int) -> Raster:
         """Intensity for the ``offset``-th period of the window (0-based)."""
         rasters = self.rasters
-        return rasters[offset % len(rasters)] if len(rasters) > 1 else rasters[0]
+        return rasters[offset % len(rasters)]
 
     @property
     def grid(self) -> RasterGrid:
@@ -190,10 +190,8 @@ def log_intervention_density(iv: TreatmentIntervention, pattern: PointPattern,
     Same reference process (and same code path) as the propensity module, so
     ratios of the two are exact density ratios.
     """
-    raster = iv.raster_for_offset(offset)
-    rasters = iv.rasters
-    integral = iv.integrals[offset % len(rasters)] if len(rasters) > 1 else iv.integrals[0]
-    return log_pattern_density(raster, pattern, integral=integral)
+    integral = iv.integrals[offset % len(iv.integrals)]
+    return log_pattern_density(iv.raster_for_offset(offset), pattern, integral=integral)
 
 
 def sample_pattern(iv: TreatmentIntervention, rng: np.random.Generator,

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
-    DistanceMap,
     Raster,
     RasterGrid,
     Region,
     SpatialWindow,
-    decay_transform,
     distance_map,
     snap_for_exact_sums,
 )
@@ -135,7 +134,8 @@ class PatternSeries:
     """Time-indexed history: treatments (marked), outcomes, covariates, one grid.
 
     ``covariates`` maps names to either a single Raster (static, shared across
-    periods) or a length-T list of Rasters.
+    periods) or one read-only ``(T, ny, nx)`` array (dynamic; row ``t - 1``
+    holds period ``t``).  A writable array is copied.
     """
 
     def __init__(self, grid: RasterGrid, treatments, outcomes, covariates=None):
@@ -144,9 +144,6 @@ class PatternSeries:
         self.outcomes = list(outcomes)
         self.covariates = dict(covariates or {})
         self.T = len(self.treatments)
-        # (stream, t) -> per-cell distances to that period's events, or None
-        # for an empty period; filled by history_maps.
-        self._distances: dict[tuple[str, int], np.ndarray | None] = {}
         if len(self.outcomes) != self.T:
             raise ValueError("treatments and outcomes must cover the same periods")
         for t, (w, y) in enumerate(zip(self.treatments, self.outcomes), start=1):
@@ -162,20 +159,19 @@ class PatternSeries:
         for name, cov in self.covariates.items():
             if isinstance(cov, Raster):
                 continue
-            if len(cov) != self.T:
-                raise ValueError(
-                    "dynamic covariate %r has %d rasters for T=%d" % (name, len(cov), self.T)
-                )
+            if getattr(cov, "shape", None) != (self.T, grid.ny, grid.nx):
+                raise ValueError("dynamic covariate %r must be a (T, ny, nx) = %s array, got %s"
+                                 % (name, (self.T, grid.ny, grid.nx),
+                                    getattr(cov, "shape", type(cov).__name__)))
+            if cov.flags.writeable:
+                self.covariates[name] = cov = cov.astype(float)
+                cov.setflags(write=False)
 
     def covariate(self, name: str, t: int) -> Raster:
         cov = self.covariates[name]
-        return cov if isinstance(cov, Raster) else cov[t - 1]
+        return cov if isinstance(cov, Raster) else Raster(self.grid, cov[t - 1])
 
-    def covariate_names(self) -> list[str]:
-        return sorted(self.covariates)
-
-    def is_static(self, names=None) -> bool:
-        names = self.covariate_names() if names is None else names
+    def is_static(self, names) -> bool:
         return all(isinstance(self.covariates[n], Raster) for n in names)
 
     def treatment(self, t: int) -> MarkedPointPattern:
@@ -293,42 +289,37 @@ def boundary_event_fraction(series: PatternSeries, spec: SmoothingSpec) -> float
     return near / total if total else 0.0
 
 
-def history_maps(series: PatternSeries, t: int, lags=(1, 7, 30),
-                 coef: float = -6.0, allow_truncated: bool = True) -> dict[str, Raster]:
-    """Decayed distance maps to recent treatment/outcome events.
+def history_maps(series: PatternSeries, lags=(1, 7, 30),
+                 coef: float = -6.0) -> dict[str, np.ndarray]:
+    """Decayed distance maps to recent treatment/outcome events, every period.
 
-    For each lag ``l`` the feature set is every event in periods
-    ``[t-l, t-1]``, separately per stream.  No prior events means distance
-    infinity, hence a decay value of zero everywhere (stated convention).
-    Returns rasters named ``"<stream>_hist_<l>"``; values lie in [0, 1].
+    At period ``t`` and lag ``l`` the feature set is every event of a stream in
+    periods ``[t-l, t-1]``.  No such event means distance infinity, hence a
+    decay value of zero everywhere (stated convention).  Returns read-only
+    ``(T, ny, nx)`` arrays named ``"<stream>_hist_<l>"``, row ``t - 1`` for
+    period ``t``; values lie in [0, 1].
 
-    Each period's distance map is computed at most once per series and
-    cached on it; a window's map is the cellwise minimum of its periods'
-    maps, which is bit-identical to the map of the pooled events.
+    Each nonempty period's distance map is computed once; a window's map is
+    the cellwise minimum of its periods' maps, which is bit-identical to the
+    map of the pooled events.
     """
-    if t <= 0:
-        raise ValueError("period index must be positive")
-    maxlag = max(lags)
-    if t <= maxlag and not allow_truncated:
-        raise ValueError(
-            "period %d has fewer than %d preceding periods; pass allow_truncated=True"
-            % (t, maxlag)
-        )
-    grid = series.grid
-    cache = series._distances
-    out: dict[str, Raster] = {}
+    if not coef < 0:
+        raise ValueError("decay coefficient must be negative, got %r" % (coef,))
+    if min(lags) < 1:
+        raise ValueError("history lags must be positive, got %r" % (tuple(lags),))
+    grid, T, maxlag = series.grid, series.T, max(lags)
+    out: dict[str, np.ndarray] = {}
     for stream in ("treatment", "outcome"):
-        for tt in range(max(1, t - maxlag), t):
-            if (stream, tt) not in cache:
-                pat = series.treatment(tt).base if stream == "treatment" else series.outcome(tt)
-                cache[stream, tt] = distance_map(grid, pat.points).values if len(pat) else None
+        # row maxlag + t - 1 holds period t; inf for empty and pre-series
+        # periods.  Period T is in no window.
+        dist = np.full((maxlag + T, grid.n_cells), np.inf)
+        for t in range(1, T):
+            pat = series.treatment(t).base if stream == "treatment" else series.outcome(t)
+            if len(pat):
+                dist[maxlag + t - 1] = distance_map(grid, pat.points).values.ravel()
         for lag in lags:
-            maps = [cache[stream, tt] for tt in range(max(1, t - lag), t)]
-            maps = [m for m in maps if m is not None]
-            name = "%s_hist_%d" % (stream, lag)
-            if maps:
-                dmap = DistanceMap(grid, np.minimum.reduce(maps))
-                out[name] = decay_transform(dmap, coef)
-            else:
-                out[name] = Raster(grid, np.zeros((grid.ny, grid.nx)))
+            windows = sliding_window_view(dist[maxlag - lag:maxlag + T - 1], lag, axis=0)
+            values = np.exp(coef * windows.min(axis=-1)).reshape(T, grid.ny, grid.nx)
+            values.setflags(write=False)
+            out["%s_hist_%d" % (stream, lag)] = values
     return out

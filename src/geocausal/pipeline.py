@@ -158,14 +158,9 @@ def _load_series(config: RunConfig) -> PatternSeries:
         covariates[name] = io.read_ascii_grid(p, window=config.window)
     series = io.read_events_csv(config.events_path, config.grid)
     if config.history:
-        lags = tuple(config.history.get("lags", (1, 7, 30)))
-        coef = float(config.history.get("coef", -6.0))
-        dynamic: dict[str, list] = {}
-        for t in range(1, series.T + 1):
-            maps = history_maps(series, t, lags=lags, coef=coef)
-            for name, raster in maps.items():
-                dynamic.setdefault(name, []).append(raster)
-        covariates.update(dynamic)
+        covariates.update(history_maps(
+            series, lags=tuple(config.history.get("lags", (1, 7, 30))),
+            coef=float(config.history.get("coef", -6.0))))
     return PatternSeries(config.grid, series.treatments, series.outcomes, covariates)
 
 

@@ -153,39 +153,33 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
     if series.T < 1:
         raise ValueError("series must contain at least one period")
     grid = series.grid
-    time_design, time_names, basis = _time_design(series.T, options)
+    T, n = series.T, grid.n_cells
+    time_design, time_names, basis = _time_design(T, options)
     columns = ["intercept"] + covariate_names + time_names
     k_cov = 1 + len(covariate_names)
     cellmask = grid.mask.ravel()
-    bases = [series.treatment(t).base for t in range(1, series.T + 1)]
+    bases = [series.treatment(t).base for t in range(1, T + 1)]
     cells = np.concatenate([np.zeros(0, int)] + [b.cell_indices(grid) for b in bases if len(b)])
 
-    static = series.is_static(covariate_names) and time_design.shape[1] == 0
-    if static:
-        Xc = np.column_stack(
-            [np.ones(grid.n_cells)]
-            + [series.covariate(n, 1).values.ravel() for n in covariate_names]
-        )
-        valid = cellmask & np.isfinite(Xc).all(axis=1)
-        y = np.bincount(cells, minlength=grid.n_cells).astype(float)
-        X, y = Xc[valid], y[valid]
-        offset = np.full(X.shape[0], np.log(series.T * grid.cell_area))
-    else:
-        # One (T, n_cells, k) design in period-major order: rows and values
-        # are the per-period blocks stacked, NODATA cells dropped.
-        T, n = series.T, grid.n_cells
-        design = np.empty((T, n, k_cov + time_design.shape[1]))
-        design[:, :, 0] = 1.0
-        for j, name in enumerate(covariate_names, start=1):
-            design[:, :, j] = [series.covariate(name, t).values.ravel()
-                               for t in range(1, T + 1)]
+    # One (P, n_cells, k) design in period-major order, NODATA cells dropped;
+    # P = 1 when the periods collapse.
+    static = series.is_static(covariate_names) and not time_names
+    P = 1 if static else T
+    design = np.empty((P, n, len(columns)))
+    design[:, :, 0] = 1.0
+    valid = np.tile(cellmask, (P, 1))
+    for j, name in enumerate(covariate_names, start=1):
+        cov = series.covariates[name]
+        values = (cov.values if isinstance(cov, Raster) else cov).reshape(-1, n)
+        design[:, :, j] = values  # a static raster's one row broadcasts
+        valid &= np.isfinite(values)
+    if time_names:
         design[:, :, k_cov:] = time_design[:, None, :]
-        valid = cellmask & np.isfinite(design[:, :, :k_cov]).all(axis=2)
-        X = design.reshape(T * n, -1) if valid.all() else design[valid]
-        period = np.repeat(np.arange(T), [len(b) for b in bases])
-        counts = np.bincount(period * n + cells, minlength=T * n)
-        y = counts.reshape(T, n)[valid].astype(float)
-        offset = np.full(X.shape[0], np.log(grid.cell_area))
+    X = design.reshape(P * n, -1) if valid.all() else design[valid]
+    if not static:
+        cells = cells + n * np.repeat(np.arange(T), [len(b) for b in bases])
+    y = np.bincount(cells, minlength=P * n).reshape(P, n)[valid].astype(float)
+    offset = np.full(X.shape[0], np.log((T if static else 1) * grid.cell_area))
 
     fit = fit_glm(X, y, family="poisson", columns=columns, offset=offset,
                   ridge=options.ridge, tol=options.tol, max_iter=options.max_iter)

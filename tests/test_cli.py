@@ -1,5 +1,6 @@
 """CLI subcommands, pipeline determinism, and the golden end-to-end fixture."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocausal.cli import _estimator_config_from, main
+from geocausal.cli import _dgp_from, _estimator_config_from, main
 from geocausal.io import dump_json, load_json, write_ascii_grid, write_events_csv
 from geocausal.simulate import simulate_series
 from geocausal.validation import default_dgp
@@ -124,6 +125,43 @@ def test_validate_bad_estimator_value_is_one_error_line(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_dgp_values_are_converted(tmp_path):
+    path = tmp_path / "dgp.json"
+    dump_json({"treatment_rate": "0.5", "mu0_rate": 1, "spillover_range": "0.8",
+               "carryover": ["16", 8], "mediator": True, "mediator_bonus": "4"}, path)
+    got = _dgp_from(path)
+    want = default_dgp(treatment_rate=0.5, mu0_rate=1.0, spillover_range=0.8,
+                       carryover=(16.0, 8.0), mediator=True, mediator_bonus=4.0)
+    assert got.carryover == want.carryover == (16.0, 8.0)
+    assert (got.spillover_range, got.mediator_bonus) == (0.8, 4.0)
+    assert got.propensity_coef == want.propensity_coef
+    assert got.mediator_coef == want.mediator_coef is not None
+    assert got.mu0.values.tobytes() == want.mu0.values.tobytes()
+    dump_json({"mediator": False}, path)
+    assert _dgp_from(path).mediator_coef is None
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("spec,message", [
+    ({"treatment_rate": "fast"}, "dgp.treatment_rate must be a finite number, got 'fast'"),
+    ({"mu0_rate": None}, "dgp.mu0_rate must be a finite number"),
+    ({"spillover_range": "nan"}, "dgp.spillover_range must be a finite number"),
+    ({"mediator_bonus": [4]}, "dgp.mediator_bonus must be a finite number"),
+    ({"carryover": [16, "x"]}, "dgp.carryover must be a finite number, got 'x'"),
+    ({"carryover": "16"}, "dgp.carryover must be a list of finite numbers"),
+    ({"mediator": "false"}, "dgp.mediator must be true or false, got 'false'"),
+])
+def test_bad_dgp_value_is_one_error_line(tmp_path, capsys, command, spec, message):
+    dgp, out = tmp_path / "dgp.json", tmp_path / "out"
+    dump_json(spec, dgp)
+    assert main([command, "--dgp", str(dgp), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ate_pipeline_deterministic_across_threads(tmp_path):
     cfg = make_workspace(tmp_path)
     assert main(["ate", "--config", str(cfg), "--threads", "1",
@@ -201,6 +239,38 @@ def test_run_builds_interventions_once_for_all_estimands(tmp_path, monkeypatch):
     report = pipeline.run(pipeline.load_config(cfg))
     assert report["status"] == {"ate": "ok", "cate": "ok", "mediate": "ok"}
     assert len(calls) == 2
+
+
+HISTORY_COVARIATES = ["%s_hist_%d" % (stream, lag)
+                      for stream in ("treatment", "outcome") for lag in (1, 7, 30)]
+
+
+def test_history_covariates_pipeline_is_pinned(tmp_path):
+    # ate and mediate with a per-period propensity on the four bumps and the
+    # six history covariates; results.json bytes pinned
+    from geocausal import pipeline
+
+    cfg = make_workspace(tmp_path, estimands=("ate", "mediate"), extra={
+        "history_covariates": {"lags": [1, 7, 30], "coef": -6.0},
+        "propensity": {"covariates": ["bump_a", "bump_b", "bump_c", "bump_d"]
+                       + HISTORY_COVARIATES},
+        "interventions": {
+            "A": {"type": "mediator-delta", "count": 1.0, "delta": 2.0,
+                  "target_mark": "hit",
+                  "baseline_from": {"stream": "treatment", "bandwidth": 1.2}},
+            "B": {"type": "intensify", "count": 0.4,
+                  "baseline_from": {"stream": "treatment", "bandwidth": 1.2}},
+        },
+        "mediation": {"tree": "binary", "positive": "hit", "negative": "none",
+                      "covariates": ["bump_a"]},
+    })
+    report = pipeline.run(pipeline.load_config(cfg))
+    assert report["status"] == {"ate": "ok", "mediate": "ok"}
+    model = load_json(tmp_path / "out" / "model.json")
+    assert set(HISTORY_COVARIATES) <= set(model["coefficients"])
+    blob = (tmp_path / "out" / "results.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "17c6c2751c07de3b81ca24921bfe322474dc26810a24f5983a8aea90bc73576d")
 
 
 def test_identical_interventions_yield_zero(tmp_path):

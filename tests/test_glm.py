@@ -119,10 +119,7 @@ def dynamic_series():
     """A marked series with decayed-distance history covariates per period."""
     dgp = default_dgp(treatment_rate=1.0, mediator=True, mediator_bonus=4.0)
     series = simulate_series(dgp, 60, 17)
-    covs = dict(series.covariates)
-    for t in range(1, series.T + 1):
-        for name, raster in history_maps(series, t, lags=(1, 7)).items():
-            covs.setdefault(name, []).append(raster)
+    covs = dict(series.covariates, **history_maps(series, lags=(1, 7)))
     return PatternSeries(series.grid, series.treatments, series.outcomes, covs)
 
 

@@ -113,6 +113,19 @@ def test_series_requires_contiguous_periods():
         PatternSeries(grid, [t1], [y_wrong])
 
 
+def test_series_rejects_a_wrongly_shaped_dynamic_covariate():
+    grid = build_grid(make_window(), 4, 4)
+    series = series_from_outcomes(grid, [np.zeros((0, 2))] * 3)
+    good = np.zeros((3, 4, 4))
+    covs = PatternSeries(grid, series.treatments, series.outcomes,
+                         {"dyn": good}).covariates
+    assert covs["dyn"] is not good and not covs["dyn"].flags.writeable
+    for bad in (np.zeros((2, 4, 4)), np.zeros((3, 16)), [Raster(grid, good[0])] * 3):
+        with pytest.raises(ValueError, match="dynamic covariate 'dyn'"):
+            PatternSeries(grid, series.treatments, series.outcomes,
+                          {"static": Raster(grid, good[0]), "dyn": bad})
+
+
 def test_count_in_region():
     grid = build_grid(make_window(), 10, 10)
     region = Region(polygon=np.array([[0, 0], [5, 0], [5, 5], [0, 5]], dtype=float))
@@ -253,14 +266,18 @@ def test_history_maps_conventions():
                 for t in (1, 2, 3)]
     series = PatternSeries(grid, treatments, outcomes)
 
-    maps = history_maps(series, 2, lags=(1,), coef=-6.0)
-    assert maps["treatment_hist_1"].values.ravel()[27] == pytest.approx(1.0)
-    assert np.all(maps["outcome_hist_1"].values == 0.0)  # no prior outcome events
+    maps = history_maps(series, lags=(1,), coef=-6.0)
+    assert maps["treatment_hist_1"].shape == (3, 8, 8)
+    assert not maps["treatment_hist_1"].flags.writeable
+    t = 2
+    assert maps["treatment_hist_1"][t - 1].ravel()[27] == pytest.approx(1.0)
+    assert np.all(maps["outcome_hist_1"][t - 1] == 0.0)  # no prior outcome events
+    assert np.all(maps["treatment_hist_1"][0] == 0.0)  # no period before the first
 
-    with pytest.raises(ValueError):
-        history_maps(series, 0)
-    with pytest.raises(ValueError):
-        history_maps(series, 2, lags=(7,), allow_truncated=False)
+    with pytest.raises(ValueError, match="lags must be positive"):
+        history_maps(series, lags=(0, 7))
+    with pytest.raises(ValueError, match="coefficient must be negative"):
+        history_maps(series, lags=(1,), coef=0.0)
 
 
 def test_history_maps_lag_monotonicity():
@@ -277,8 +294,9 @@ def test_history_maps_lag_monotonicity():
             marks=tuple("none" for _ in range(len(pts)))))
         outcomes.append(PointPattern(time=t, points=np.zeros((0, 2)), window=window))
     series = PatternSeries(grid, treatments, outcomes)
-    maps = history_maps(series, 8, lags=(1, 7), coef=-6.0)
-    short, long = maps["treatment_hist_1"].values, maps["treatment_hist_7"].values
+    maps = history_maps(series, lags=(1, 7), coef=-6.0)
+    t = 8
+    short, long = maps["treatment_hist_1"][t - 1], maps["treatment_hist_7"][t - 1]
     assert np.all(long >= short - 1e-15)
     assert np.all(long >= 0.0) and np.all(long <= 1.0)
 
@@ -301,14 +319,14 @@ def test_history_maps_equal_pooled_reference():
     assert any(len(series.treatment(t)) == 0 for t in range(1, series.T + 1))
     assert any(len(series.outcome(t)) == 0 for t in range(1, series.T + 1))
     zero_windows = 0
+    maps = history_maps(series, lags=lags, coef=-6.0)
     for t in range(1, series.T + 1):
-        maps = history_maps(series, t, lags=lags, coef=-6.0)
         for stream in ("treatment", "outcome"):
             for lag in lags:
                 pats = [series.treatment(tt).base if stream == "treatment"
                         else series.outcome(tt) for tt in range(max(1, t - lag), t)]
                 pts = [p.points for p in pats if len(p)]
-                got = maps["%s_hist_%d" % (stream, lag)].values
+                got = maps["%s_hist_%d" % (stream, lag)][t - 1]
                 if pts:
                     ref = decay_transform(distance_map(grid, np.vstack(pts)), -6.0)
                     assert got.tobytes() == ref.values.tobytes()
@@ -330,13 +348,12 @@ def test_history_maps_distance_map_once_per_period(monkeypatch):
         return original(grid, features)
 
     monkeypatch.setattr(patterns, "distance_map", counting)
-    for t in range(1, series.T + 1):
-        history_maps(series, t, lags=(1, 7, 30), coef=-6.0)
+    history_maps(series, lags=(1, 7, 30), coef=-6.0)
     nonempty = sum(
         (len(series.treatment(t)) > 0) + (len(series.outcome(t)) > 0)
         for t in range(1, series.T)  # period T is never in a window
     )
-    assert 0 < len(calls) <= nonempty
+    assert 0 < len(calls) == nonempty
 
 
 def test_boundary_event_fraction():
