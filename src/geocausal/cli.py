@@ -182,6 +182,8 @@ def main(argv=None) -> int:
 def _dgp_from(path: Path | None):
     if path is None:
         return default_dgp()
+    if not path.exists():
+        raise ValueError("dgp file not found: %s" % path)
     spec = io.load_json(path)
     kwargs = {k: _number("dgp." + k, spec[k], False) for k in (
         "treatment_rate", "mu0_rate", "spillover_range", "mediator_bonus") if k in spec}

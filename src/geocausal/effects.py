@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import norm
 
 from .errors import OverlapViolationError
 from .geometry import Raster, Region, snap_for_exact_sums
@@ -29,8 +28,10 @@ from .interventions import InterventionPair, TreatmentIntervention, log_interven
 from .patterns import PatternSeries, SmoothingSpec, smoothed_cell_values
 from .propensity import FittedPropensity
 
-Z90 = float(norm.ppf(0.95))
-Z95 = float(norm.ppf(0.975))
+# scipy.stats.norm.ppf(0.95) and norm.ppf(0.975), written out so that importing
+# the package does not load scipy.stats.
+Z90 = 1.6448536269514722
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)

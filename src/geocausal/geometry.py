@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -332,6 +331,8 @@ def distance_map(grid: RasterGrid, features) -> DistanceMap:
         points = np.asarray(points, dtype=float)
         if points.size == 0:
             raise ValueError("feature set is empty")
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(points.reshape(-1, 2))
         dist = np.minimum(dist, tree.query(centers)[0])
     else:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .effects import (
     EffectEstimate,
@@ -211,6 +210,8 @@ def fit_mediator_score(series: PatternSeries, covariate_names,
 
 def auc_diagnostic(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC with half credit for ties."""
+    from scipy.stats import rankdata
+
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(bool)
     n_pos = int(labels.sum())

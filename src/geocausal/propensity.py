@@ -83,21 +83,25 @@ class FittedPropensity:
         self.report = report
         self.options = options
         self._indicators = options.period_indicators
-        # period -> (intensity raster, its integral); key None when the model
-        # is static on the series, so one prediction serves every period.
+        # period -> (intensity raster, its integral) for the series
+        # ``_cache_series``; key None when the model is static on that series,
+        # so one prediction serves every period.
+        self._cache_series: PatternSeries | None = None
+        self._static = False
         self._cache: dict[int | None, tuple[Raster, float]] = {}
 
     @property
     def converged(self) -> bool:
         return self.report.converged
 
-    def _is_static_for(self, series: PatternSeries) -> bool:
-        return (series.is_static(self.model.covariate_names)
-                and self.model.time_spline is None
-                and not self.model.indicator_coef)
-
     def _predicted(self, series: PatternSeries, t: int) -> tuple[Raster, float]:
-        key = None if self._is_static_for(series) else t
+        if series is not self._cache_series:
+            self._cache_series = series
+            self._static = (series.is_static(self.model.covariate_names)
+                            and self.model.time_spline is None
+                            and not self.model.indicator_coef)
+            self._cache = {}
+        key = None if self._static else t
         if key not in self._cache:
             period = 1 if key is None else key
             covs = {n: series.covariate(n, period) for n in self.model.covariate_names}
@@ -245,9 +249,8 @@ def log_pattern_density(intensity: Raster, pattern: PointPattern,
     if len(pattern) == 0:
         return -total
     lam = intensity.values.ravel()[pattern.cell_indices(grid)]
-    bad = np.where(~(lam > 0.0))[0]
-    if bad.size:
-        i = int(bad[0])
+    if not (lam > 0.0).all():
+        i = int(np.flatnonzero(~(lam > 0.0))[0])
         raise OverlapViolationError(
             "event %d at (%g, %g) in period %d falls on a zero/NODATA intensity cell"
             % (i, pattern.points[i, 0], pattern.points[i, 1], pattern.time)

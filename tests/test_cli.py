@@ -162,6 +162,16 @@ def test_bad_dgp_value_is_one_error_line(tmp_path, capsys, command, spec, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_missing_dgp_file_is_one_error_line(tmp_path, capsys, command):
+    dgp, out = tmp_path / "nonexistent.json", tmp_path / "out"
+    assert main([command, "--dgp", str(dgp), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: dgp file not found: %s" % dgp]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ate_pipeline_deterministic_across_threads(tmp_path):
     cfg = make_workspace(tmp_path)
     assert main(["ate", "--config", str(cfg), "--threads", "1",
@@ -395,6 +405,32 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "geocausal" in proc.stdout
+
+
+def test_import_and_ate_leave_scipy_stats_and_spatial_unloaded(tmp_path):
+    # Importing the package and running `geocausal ate` load neither
+    # scipy.stats nor scipy.spatial; the z constants written out in effects
+    # are the scipy quantiles bit for bit.
+    import scipy.stats
+
+    from geocausal.effects import Z90, Z95
+
+    assert Z90 == float(scipy.stats.norm.ppf(0.95))
+    assert Z95 == float(scipy.stats.norm.ppf(0.975))
+    cfg = make_workspace(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "unloaded = ('scipy.stats', 'scipy.spatial')",
+        "import geocausal",
+        "from geocausal.cli import main",
+        "assert not [m for m in unloaded if m in sys.modules], 'import'",
+        "assert main(['ate', '--config', sys.argv[1]]) == 0",
+        "assert not [m for m in unloaded if m in sys.modules], 'ate'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "results.json").exists()
 
 
 @pytest.mark.skipif(not (GOLDEN / "results.json").exists(),

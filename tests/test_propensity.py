@@ -9,7 +9,9 @@ import pytest
 from geocausal.errors import OverlapViolationError, RankDeficiencyError
 from geocausal.geometry import Raster, SpatialWindow, build_grid, integrate_raster
 from geocausal.patterns import MarkedPointPattern, PatternSeries, PointPattern
+from geocausal import propensity
 from geocausal.propensity import (
+    FittedPropensity,
     PropensityOptions,
     fit_diagnostics,
     fit_poisson_intensity,
@@ -117,6 +119,47 @@ def test_predict_intensity_contracts():
 
     with pytest.raises(ValueError):
         predict_intensity(fit, {})
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_prediction_cache_follows_the_series(monkeypatch, dynamic):
+    # A warm fit asked about a second series answers for that series, and
+    # decides once per series whether one prediction serves every period.
+    grid = build_grid(SpatialWindow(bounds=(0, 0, 1, 1)), 4, 4)
+    rng = np.random.default_rng(1)
+    T = 20
+    values = rng.uniform(size=(T, 4, 4)) if dynamic else rng.uniform(size=(4, 4))
+    pts = [rng.uniform(0, 1, size=(2, 2)) for _ in range(T)]
+
+    def series_with(v):
+        return make_series(grid, pts, {"x": v if dynamic else Raster(grid, v)})
+
+    s1, s2 = series_with(values), series_with(values / 2.0)
+    fit = fit_poisson_intensity(s1, ["x"])
+
+    def fresh(series, t):
+        return FittedPropensity(fit.model, fit.report, fit.options).intensity_integral(series, t)
+
+    want = {(s, t): fresh(s, t) for s in (s1, s2) for t in (1, 3)}
+    assert want[s1, 1] != want[s2, 1]
+    counts = {"predict": 0, "is_static": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(propensity, "predict_intensity",
+                        counted("predict", propensity.predict_intensity))
+    monkeypatch.setattr(PatternSeries, "is_static",
+                        counted("is_static", PatternSeries.is_static))
+    for series in (s1, s2, s1):
+        for t in range(1, T + 1):
+            fit.log_density(series, t)
+        assert [fit.intensity_integral(series, t) for t in (1, 3)] == \
+            [want[series, 1], want[series, 3]]
+    assert counts == {"predict": 3 * (T if dynamic else 1), "is_static": 3}
 
 
 def test_nodata_cells_masked():
