@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OverlapViolationError
 from .geometry import Raster, Region, snap_for_exact_sums
@@ -70,9 +69,10 @@ class WeightSeries:
         if not 0.0 < quantile <= 1.0:
             raise ValueError("truncation quantile must be in (0, 1]")
         cap = float(np.quantile(self.weights, quantile))
-        w = np.minimum(self.weights, cap)
-        return WeightSeries(L=self.L, log_weights=np.log(w), weights=w,
-                            truncation_quantile=quantile)
+        if cap <= 0.0:
+            raise ValueError("truncation quantile %g caps the weights at 0" % quantile)
+        return WeightSeries(self.L, np.minimum(self.log_weights, math.log(cap)),
+                            np.minimum(self.weights, cap), truncation_quantile=quantile)
 
 
 def _period_log_ratio(series: PatternSeries, propensity: FittedPropensity,
@@ -140,12 +140,9 @@ def window_weights(ratios: np.ndarray, L: int) -> WeightSeries:
     n, T = ratios.shape
     if L < 1 or L > T:
         raise ValueError("need 1 <= L <= T")
-    if n == 1:
-        log_w = sliding_window_view(ratios[0], L).sum(axis=1)
-    else:
-        offsets = np.arange(L)
-        starts = np.arange(T - L + 1)[:, None]
-        log_w = ratios[offsets % n, starts + offsets].sum(axis=1)
+    offsets = np.arange(L)
+    starts = np.arange(T - L + 1)[:, None]
+    log_w = ratios[offsets % n, starts + offsets].sum(axis=1)
     if not np.all(np.isfinite(log_w)):
         bad = int(np.where(~np.isfinite(log_w))[0][0]) + L
         raise ValueError("non-finite log-weight at t=%d" % bad)

@@ -4,8 +4,9 @@ Pixels are grid-aligned disjoint blocks covering the window.  The pixel-level
 effect at period t is the same weighted contrast as the ATE restricted to the
 pixel; because per-cell contributions are pre-rounded, the pixel effects sum
 bit-exactly to the region effect (partition additivity).  Per-period OLS
-projects pixel effects onto moderator values measured at t - L + 1, and the
-time-averaged coefficients summarize how effects vary with the moderator.
+projects pixel effects onto moderator values measured at t - L + 1, with one
+design and rank check per distinct moderator vector, and the time-averaged
+coefficients summarize how effects vary with the moderator.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .effects import SmoothedOutcomes, WeightSeries, Z90, Z95
-from .errors import RankDeficiencyError
 from .geometry import RasterGrid
-from .glm import NaturalCubicBasis, natural_cubic_basis
-
-_RANK_RTOL = 1e-10
+from .glm import NaturalCubicBasis, _check_rank, natural_cubic_basis
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,10 @@ class ProjectionBasis:
 
 def project_cate_t(tau: np.ndarray, moderators: np.ndarray,
                    basis: ProjectionBasis, missing: str = "drop") -> np.ndarray:
-    """Least-squares fit of pixel effects on the moderator basis at one period.
+    """Least-squares fit of pixel effects on the moderator basis.
 
+    ``tau`` is one period's pixel effects (p,), or (m, p) for m periods that
+    share the moderators: one design and rank check, one solve per period.
     Pixels with a missing (NaN) moderator are dropped by default; pass
     ``missing="zero"`` to impute zeros instead (a substantive choice).
     """
@@ -197,14 +196,10 @@ def project_cate_t(tau: np.ndarray, moderators: np.ndarray,
             % (k + 1, int(keep.sum()))
         )
     Z = basis.design(r[keep])
-    qr_r, piv = linalg.qr(Z, mode="r", pivoting=True)
-    diag = np.abs(np.diag(qr_r))
-    bad = diag < _RANK_RTOL * diag[0] if diag.size else np.array([])
-    if diag.size and bad.any():
-        names = basis.column_names()
-        raise RankDeficiencyError([names[j] for j in piv[np.where(bad)[0]]])
-    beta, *_ = np.linalg.lstsq(Z, tau[keep], rcond=None)
-    return beta
+    _check_rank(Z, basis.column_names())
+    betas = np.array([np.linalg.lstsq(Z, row[keep], rcond=None)[0]
+                      for row in np.atleast_2d(tau)])
+    return betas if tau.ndim == 2 else betas[0]
 
 
 @dataclass(frozen=True)
@@ -253,13 +248,9 @@ def average_projection(betas) -> ProjectionEstimate:
     arr = np.asarray(betas, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need per-period coefficients for at least two periods")
-    raise_if_nonfinite(arr)
-    return ProjectionEstimate(basis=None, beta_bar=arr.mean(axis=0), betas=arr)
-
-
-def raise_if_nonfinite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite projection coefficients")
+    return ProjectionEstimate(basis=None, beta_bar=arr.mean(axis=0), betas=arr)
 
 
 def estimate_cate(smoothed: SmoothedOutcomes, partition: PixelPartition,
@@ -268,10 +259,21 @@ def estimate_cate(smoothed: SmoothedOutcomes, partition: PixelPartition,
                   missing: str = "drop") -> ProjectionEstimate:
     """Full CATE projection: per-period pixel effects, OLS, time average.
 
-    The moderator enters at the pre-intervention period t - L + 1.
+    The moderator enters at the pre-intervention period t - L + 1.  Periods
+    are grouped by the bytes of their moderator vector (-0.0 is not 0.0), in
+    order of first appearance, so the first failing period still raises.
     """
-    L = w1.L
+    n = len(w1)
+    columns = np.shape(panel.values[moderator])[1:]
+    if columns and columns[0] < n:
+        raise ValueError("moderator %r has %d periods; T - L + 1 = %d periods need one each"
+                         % (moderator, columns[0], n))
     taus = partition.pixel_sums(smoothed.contributions(w1, w2))
-    betas = [project_cate_t(tau, panel.at(moderator, t - L + 1), basis, missing=missing)
-             for t, tau in enumerate(taus, start=L)]
+    groups: dict[bytes, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(panel.at(moderator, i + 1).tobytes(), []).append(i)
+    betas = np.empty((n, basis.k))
+    for rows in groups.values():
+        betas[rows] = project_cate_t(taus[rows], panel.at(moderator, rows[0] + 1),
+                                     basis, missing=missing)
     return replace(average_projection(betas), basis=basis)

@@ -390,6 +390,9 @@ def _run_cate(config, series, fit, smoothed, pairs) -> dict:
     moderators = io.read_moderators_csv(config.base_dir / cfg["moderators_csv"],
                                         partition, factor, series.T)
     name = cfg.get("moderator") or sorted(moderators)[0]
+    if name not in moderators:
+        raise ValueError("moderator %r is not in %s, which has: %s"
+                         % (name, cfg["moderators_csv"], ", ".join(sorted(moderators))))
     panel = ModeratorPanel(partition=partition, values=moderators)
     df = int(cfg.get("basis", {}).get("df", 1))
     values = moderators[name][~np.isnan(moderators[name])]

@@ -165,10 +165,7 @@ def true_pixel_effect_map(dgp: SyntheticDGP, ivA: TreatmentIntervention,
     lam_diff = ivA.rasters[0].values - ivB.rasters[0].values
     field = exact_expected_spillover(dgp, lam_diff)
     coef = sum(c for lag, c in enumerate(dgp.carryover, start=1) if lag < L)
-    cellvals = coef * field * grid.cell_area
-    flat = partition.labels.ravel()
-    keep = flat >= 0
-    return np.bincount(flat[keep], weights=cellvals[keep], minlength=partition.p)
+    return partition.pixel_sums((coef * field * grid.cell_area)[None])[0]
 
 
 def _bandwidth_for(config: EstimatorConfig, T: int) -> float:

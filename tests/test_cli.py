@@ -251,6 +251,23 @@ def test_run_builds_interventions_once_for_all_estimands(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_unknown_moderator_names_the_ones_in_the_csv(tmp_path):
+    from geocausal import pipeline
+
+    rows = ["pixel_row,pixel_col,t,name,value"] + [
+        "%d,%d,%d,%s,%g" % (pr, pc, t, name, 0.3 * pr + 0.1 * pc)
+        for name in ("mech", "dist")
+        for t in range(1, 81) for pr in range(4) for pc in range(4)]
+    (tmp_path / "mods.csv").write_text("\n".join(rows) + "\n")
+    cfg = make_workspace(tmp_path, T=80, estimands=("cate",), extra={
+        "cate": {"moderators_csv": "mods.csv", "moderator": "mechx",
+                 "pixel_factor": 8, "basis": {"df": 1}},
+    })
+    report = pipeline.run(pipeline.load_config(cfg))
+    assert report["status"]["cate"] == (
+        "error: moderator 'mechx' is not in mods.csv, which has: dist, mech")
+
+
 HISTORY_COVARIATES = ["%s_hist_%d" % (stream, lag)
                       for stream in ("treatment", "outcome") for lag in (1, 7, 30)]
 

@@ -282,6 +282,20 @@ def test_truncation_reports_both(fitted_world):
     assert "truncated" in payload
 
 
+def test_truncation_keeps_an_underflowed_weight():
+    # exp(-800) underflows to 0; truncation must not take log(0)
+    lw = np.array([0.0, -800.0, 1.0, 2.0])
+    w = WeightSeries(L=1, log_weights=lw, weights=np.exp(lw))
+    cap = float(np.quantile(w.weights, 0.9))
+    t = w.truncated(0.9)
+    assert t.weights.tobytes() == np.minimum(w.weights, cap).tobytes()
+    assert np.array_equal(t.log_weights, np.minimum(lw, math.log(cap)))
+    assert t.truncation_quantile == 0.9
+    lw0 = np.array([-800.0, -800.0, -800.0, 0.0])
+    with pytest.raises(ValueError, match="quantile 0.5"):
+        WeightSeries(L=1, log_weights=lw0, weights=np.exp(lw0)).truncated(0.5)
+
+
 def test_effect_by_distance_band():
     grid = build_grid(SpatialWindow(bounds=(0.0, 0.0, 10.0, 10.0)), 20, 20)
     c = grid.cell_centers()

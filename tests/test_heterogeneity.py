@@ -230,3 +230,67 @@ def test_estimate_cate_matches_per_period_loop(world):
     proj = estimate_cate(smoothed, part, wA, wB, panel, "m", basis)
     assert proj.betas.tobytes() == np.array(betas).tobytes()
     assert proj.beta_bar.tobytes() == np.array(betas).mean(axis=0).tobytes()
+
+
+def test_one_design_per_distinct_moderator_vector(world, monkeypatch):
+    import geocausal.heterogeneity as heterogeneity
+
+    calls = []
+    original = heterogeneity._check_rank
+
+    def counting(X, columns, w=None):
+        calls.append(columns)
+        return original(X, columns, w)
+
+    monkeypatch.setattr(heterogeneity, "_check_rank", counting)
+    dgp, series, smoothed, wA, wB = world
+    part = PixelPartition.blocks(series.grid, 4)
+    rng = np.random.default_rng(31)
+    n = series.T - wA.L + 1
+    static = rng.uniform(size=part.p)
+    flipped = static.copy()
+    flipped[0] = 0.0
+    signed = flipped.copy()
+    signed[0] = -0.0  # equal by value, other bytes: a group of its own
+    panel = ModeratorPanel(partition=part, values={
+        "static": static,
+        "dynamic": rng.uniform(size=(part.p, series.T)),
+        "two": np.where(np.arange(series.T) % 2, flipped[:, None], static[:, None]),
+        "signed": np.where(np.arange(series.T) < 50, flipped[:, None], signed[:, None]),
+    })
+    basis = ProjectionBasis.linear()
+    taus = part.pixel_sums(smoothed.contributions(wA, wB))
+    for name, designs in (("static", 1), ("dynamic", n), ("two", 2), ("signed", 2)):
+        calls.clear()
+        proj = estimate_cate(smoothed, part, wA, wB, panel, name, basis)
+        assert len(calls) == designs, name
+        # each period is still solved on its own: the per-period bytes
+        betas = np.array([project_cate_t(tau, panel.at(name, i + 1), basis)
+                          for i, tau in enumerate(taus)])
+        assert proj.betas.tobytes() == betas.tobytes(), name
+
+
+def test_constant_moderator_at_a_middle_period_names_the_column(world):
+    dgp, series, smoothed, wA, wB = world
+    part = PixelPartition.blocks(series.grid, 4)
+    values = np.random.default_rng(37).uniform(size=(part.p, series.T))
+    values[:, series.T // 2] = 0.5
+    panel = ModeratorPanel(partition=part, values={"m": values})
+    with pytest.raises(RankDeficiencyError) as err:
+        estimate_cate(smoothed, part, wA, wB, panel, "m", ProjectionBasis.linear())
+    assert err.value.columns == ["moderator"]
+
+
+def test_short_dynamic_panel_is_checked_up_front(world, monkeypatch):
+    dgp, series, smoothed, wA, wB = world
+    part = PixelPartition.blocks(series.grid, 8)
+    panel = ModeratorPanel(partition=part, values={
+        "m": np.random.default_rng(41).uniform(size=(part.p, 20))})
+
+    def no_contributions(*args):
+        raise AssertionError("contributions computed before the panel check")
+
+    monkeypatch.setattr(SmoothedOutcomes, "contributions", no_contributions)
+    n = series.T - wA.L + 1
+    with pytest.raises(ValueError, match=r"'m' has 20 periods; T - L \+ 1 = %d" % n):
+        estimate_cate(smoothed, part, wA, wB, panel, "m", ProjectionBasis.linear())
