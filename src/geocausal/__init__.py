@@ -6,6 +6,8 @@ mediated effects, with conservative variance bounds and a built-in
 simulation oracle for validation.
 """
 
+__version__ = "0.1.0"
+
 from .errors import ConvergenceError, GeoCausalError, OverlapViolationError, RankDeficiencyError
 from .geometry import (
     DECAY_DEFAULTS,
@@ -105,5 +107,3 @@ from .validation import (
     interior_region,
     true_pixel_effect_map,
 )
-
-__version__ = "0.1.0"

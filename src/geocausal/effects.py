@@ -47,6 +47,9 @@ class WeightSeries:
         w = np.asarray(self.weights, dtype=float)
         if not np.all(np.isfinite(lw)):
             raise ValueError("non-finite log-weight encountered")
+        if not np.all(np.isfinite(w)):
+            bad = int(np.flatnonzero(~np.isfinite(w))[0])
+            raise ValueError("non-finite weight at t=%d" % (self.L + bad))
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         lw.setflags(write=False)

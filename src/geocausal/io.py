@@ -293,12 +293,9 @@ def propensity_model_to_dict(fit) -> dict:
                   if model.time_spline is not None else []),
         "time_spline_coef": (list(map(float, model.time_spline_coef))
                              if model.time_spline_coef is not None else []),
-        "indicator_coef": {k: float(v) for k, v in model.indicator_coef.items()},
         "options": {
             "time_spline_df": fit.options.time_spline_df,
             "ridge": fit.options.ridge,
-            "tol": fit.options.tol,
-            "max_iter": fit.options.max_iter,
         },
         "convergence": {
             "iterations": fit.report.iterations,
@@ -320,6 +317,9 @@ def propensity_model_from_dict(payload: dict):
         PropensityOptions,
     )
 
+    if payload.get("indicator_coef"):
+        raise ValueError("model.json has indicator_coef terms %s; refit with each period "
+                         "indicator as a dynamic covariate" % sorted(payload["indicator_coef"]))
     knots = payload.get("knots") or []
     spline = NaturalCubicBasis(knots=np.asarray(knots, dtype=float)) if knots else None
     spline_coef = (np.asarray(payload.get("time_spline_coef"), dtype=float)
@@ -328,15 +328,12 @@ def propensity_model_from_dict(payload: dict):
         coefficients={k: float(v) for k, v in payload["coefficients"].items()},
         time_spline=spline,
         time_spline_coef=spline_coef,
-        indicator_coef={k: float(v) for k, v in payload.get("indicator_coef", {}).items()},
     )
     opts = payload.get("options", {})
     conv = payload.get("convergence", {})
     options = PropensityOptions(
         time_spline_df=int(opts.get("time_spline_df", 0)),
         ridge=float(opts.get("ridge", 0.0)),
-        tol=float(opts.get("tol", 1e-8)),
-        max_iter=int(opts.get("max_iter", 100)),
     )
     report = ConvergenceReport(
         iterations=int(conv.get("iterations", 0)),

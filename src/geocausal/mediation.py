@@ -33,7 +33,7 @@ from .errors import OverlapViolationError
 from .geometry import Region
 from .glm import GLMFit, fit_glm
 from .interventions import InterventionPair, MediatorIntervention, incremental_shift
-from .patterns import MarkedPointPattern, PatternSeries, PointPattern, SmoothingSpec
+from .patterns import PatternSeries, PointPattern, SmoothingSpec
 from .propensity import FittedPropensity
 
 
@@ -169,15 +169,14 @@ class MediatorScoreModel:
 
 
 def fit_mediator_score(series: PatternSeries, covariate_names,
-                       stages: list[StageSpec], ridge: float = 0.0,
-                       tol: float = 1e-8, max_iter: int = 100) -> MediatorScoreModel:
+                       stages: list[StageSpec], ridge: float = 0.0) -> MediatorScoreModel:
     """Fit the per-stage logistic regressions on all marked treatment points."""
     covariate_names = list(covariate_names)
     categories = _validate_tree(stages)
     rows_X, rows_mark = [], []
     for t in range(1, series.T + 1):
         pat = series.treatment(t)
-        if not isinstance(pat, MarkedPointPattern) or len(pat) == 0:
+        if len(pat) == 0:
             continue
         rows_X.append(point_covariates(series, covariate_names, t, pat.base))
         rows_mark.extend(pat.marks)
@@ -203,7 +202,7 @@ def fit_mediator_score(series: PatternSeries, covariate_names,
         design = np.column_stack([np.ones(int(in_stage.sum())), X[in_stage]])
         fits.append(fit_glm(design, y, family="binomial",
                             columns=["intercept"] + covariate_names,
-                            ridge=ridge, tol=tol, max_iter=max_iter))
+                            ridge=ridge))
     return MediatorScoreModel(stages=list(stages), covariate_names=covariate_names,
                               fits=fits)
 

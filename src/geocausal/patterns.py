@@ -147,8 +147,10 @@ class PatternSeries:
         if len(self.outcomes) != self.T:
             raise ValueError("treatments and outcomes must cover the same periods")
         for t, (w, y) in enumerate(zip(self.treatments, self.outcomes), start=1):
-            base = w.base if isinstance(w, MarkedPointPattern) else w
-            for pat, name in ((base, "treatment"), (y, "outcome")):
+            if not isinstance(w, MarkedPointPattern):
+                raise ValueError("treatment at index %d is a %s, not a MarkedPointPattern"
+                                 % (t - 1, type(w).__name__))
+            for pat, name in ((w.base, "treatment"), (y, "outcome")):
                 if pat.time != t:
                     raise ValueError(
                         "%s pattern at index %d has time %d; expected contiguous 1..T"

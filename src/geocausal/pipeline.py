@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import figures, io
+from . import __version__, figures, io
 from .effects import SmoothedOutcomes, compute_weight_series, effect_surface, estimate_ate
 from .geometry import (
     RasterGrid,
@@ -54,8 +54,6 @@ from .patterns import (
     smoothed_cell_values,
 )
 from .propensity import FittedPropensity, PropensityOptions, fit_poisson_intensity
-
-_VERSION = "0.1.0"
 
 
 @dataclass
@@ -310,7 +308,7 @@ def run(config: RunConfig) -> dict:
         "provenance": {
             "config_hash": config.config_hash,
             "seed": config.seed,
-            "versions": {"geocausal": _VERSION, "numpy": np.__version__},
+            "versions": {"geocausal": __version__, "numpy": np.__version__},
             "propensity_refit_per_L": False,
         },
         "estimands": {},

@@ -9,11 +9,18 @@ up to an additive constant shared by every intensity on the same window, which
 cancels in all density ratios.  Fitting maximizes the discretized (cell-count)
 Poisson likelihood on the shared grid, so the propensity, the interventions,
 and every spatial integral are mutually consistent.
+
+The log-linear intensity has two kinds of term: named covariates of the
+series (static rasters or dynamic ``(T, ny, nx)`` arrays) and an optional
+natural cubic spline in t.  A period indicator, or any per-period value ``v``
+that is constant in space, is an ordinary dynamic covariate:
+``np.broadcast_to(v[:, None, None], (T, ny, nx))`` is read-only, so the
+series holds it without a copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +32,20 @@ from .patterns import PatternSeries, PointPattern, prefix_series
 
 @dataclass
 class PropensityOptions:
+    """Fit settings: the time spline's degrees of freedom (0 for none) and
+    the ridge penalty."""
+
     time_spline_df: int = 0
-    period_indicators: dict[str, np.ndarray] | None = None
     ridge: float = 0.0
-    tol: float = 1e-8
-    max_iter: int = 100
 
 
 @dataclass(frozen=True)
 class IntensityModel:
-    """Log-linear intensity: intercept + named covariates + optional time terms."""
+    """Log-linear intensity: intercept + named covariates + optional time spline."""
 
     coefficients: dict[str, float]
     time_spline: NaturalCubicBasis | None = None
     time_spline_coef: np.ndarray | None = None
-    indicator_coef: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, value in self.coefficients.items():
@@ -50,17 +56,32 @@ class IntensityModel:
     def covariate_names(self) -> list[str]:
         return [n for n in self.coefficients if n != "intercept"]
 
-    def time_offset(self, t: int, indicators: dict[str, np.ndarray] | None) -> float:
-        """Spatially constant part of the linear predictor at period t."""
-        out = 0.0
-        if self.time_spline is not None:
-            z = self.time_spline.design(np.array([float(t)]))[0]
-            out += float(z @ self.time_spline_coef)
-        for name, coef in self.indicator_coef.items():
-            if indicators is None or name not in indicators:
-                raise ValueError("model uses period indicator %r but none was supplied" % name)
-            out += coef * float(indicators[name][t - 1])
-        return out
+
+def _intensity(model: IntensityModel, covariates: dict[str, np.ndarray],
+               grid: RasterGrid, periods) -> np.ndarray:
+    """lambda for the P ``periods`` as a (P, ny, nx) array; NODATA cells are zero.
+
+    ``covariates`` maps each of the model's covariate names to a (ny, nx) or
+    a (P, ny, nx) array; only the time spline reads ``periods``.  The linear
+    predictor is summed in one order: intercept, then coefficient times
+    covariate in ``covariate_names`` order, then the spline offset.
+    """
+    eta = np.full((len(periods), grid.ny, grid.nx), model.coefficients["intercept"])
+    for name in model.covariate_names:
+        eta += model.coefficients[name] * covariates[name]
+    if model.time_spline is not None:
+        Z = model.time_spline.design(np.asarray(periods, dtype=float))
+        eta += np.array([float(z @ model.time_spline_coef) for z in Z])[:, None, None]
+    invalid = ~(np.isfinite(eta) & grid.mask)
+    eta[invalid] = 0.0
+    np.exp(eta, out=eta)
+    eta[invalid] = 0.0
+    return eta
+
+
+def _values(cov) -> np.ndarray:
+    """A series covariate's values: (ny, nx) when static, else (T, ny, nx)."""
+    return cov.values if isinstance(cov, Raster) else cov
 
 
 @dataclass
@@ -75,80 +96,56 @@ class ConvergenceReport:
 
 
 class FittedPropensity:
-    """A fitted intensity model plus its per-period prediction cache."""
+    """A fitted intensity model plus the predicted intensity of the series
+    it was last asked about."""
 
     def __init__(self, model: IntensityModel, report: ConvergenceReport,
                  options: PropensityOptions):
         self.model = model
         self.report = report
         self.options = options
-        self._indicators = options.period_indicators
-        # period -> (intensity raster, its integral) for the series
-        # ``_cache_series``; key None when the model is static on that series,
-        # so one prediction serves every period.
-        self._cache_series: PatternSeries | None = None
-        self._static = False
-        self._cache: dict[int | None, tuple[Raster, float]] = {}
+        # (intensity raster, its integral) per period of ``_series``, or one
+        # pair serving every period when the model is static on that series.
+        self._series: PatternSeries | None = None
+        self._predicted: list[tuple[Raster, float]] = []
 
     @property
     def converged(self) -> bool:
         return self.report.converged
 
-    def _predicted(self, series: PatternSeries, t: int) -> tuple[Raster, float]:
-        if series is not self._cache_series:
-            self._cache_series = series
-            self._static = (series.is_static(self.model.covariate_names)
-                            and self.model.time_spline is None
-                            and not self.model.indicator_coef)
-            self._cache = {}
-        key = None if self._static else t
-        if key not in self._cache:
-            period = 1 if key is None else key
-            covs = {n: series.covariate(n, period) for n in self.model.covariate_names}
-            raster = predict_intensity(self, covs, t=key, grid=series.grid)
-            self._cache[key] = (raster, integrate_raster(raster))
-        return self._cache[key]
+    def _period(self, series: PatternSeries, t: int) -> tuple[Raster, float]:
+        if series is not self._series:
+            names = self.model.covariate_names
+            static = series.is_static(names) and self.model.time_spline is None
+            lam = _intensity(self.model, {n: _values(series.covariates[n]) for n in names},
+                             series.grid, [None] if static else range(1, series.T + 1))
+            rasters = [Raster(series.grid, row) for row in lam]
+            self._predicted = [(r, integrate_raster(r)) for r in rasters]
+            self._series = series
+        return self._predicted[0 if len(self._predicted) == 1 else t - 1]
 
     def intensity(self, series: PatternSeries, t: int) -> Raster:
         """Predicted intensity raster for period t (cached)."""
-        return self._predicted(series, t)[0]
+        return self._period(series, t)[0]
 
     def intensity_integral(self, series: PatternSeries, t: int) -> float:
-        return self._predicted(series, t)[1]
+        return self._period(series, t)[1]
 
     def log_density(self, series: PatternSeries, t: int) -> float:
         """log e_t of the observed treatment pattern at period t."""
-        raster, integral = self._predicted(series, t)
+        raster, integral = self._period(series, t)
         return log_pattern_density(raster, series.treatment(t).base, integral=integral)
-
-
-def _time_design(T: int, options: PropensityOptions):
-    """Per-period design of spline and indicator columns; (T, m) and names."""
-    cols, names = [], []
-    basis = None
-    if options.time_spline_df and options.time_spline_df > 0:
-        basis = natural_cubic_basis(np.arange(1, T + 1, dtype=float),
-                                    options.time_spline_df)
-        Z = basis.design(np.arange(1, T + 1, dtype=float))
-        for j in range(Z.shape[1]):
-            cols.append(Z[:, j])
-            names.append("time_spline_%d" % (j + 1))
-    for name, values in sorted((options.period_indicators or {}).items()):
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (T,):
-            raise ValueError("period indicator %r must have length T=%d" % (name, T))
-        cols.append(vals)
-        names.append("indicator:%s" % name)
-    design = np.column_stack(cols) if cols else np.zeros((T, 0))
-    return design, names, basis
 
 
 def fit_poisson_intensity(series: PatternSeries, covariate_names,
                           options: PropensityOptions | None = None) -> FittedPropensity:
-    """Fit log lambda_t = gamma . x_t by IRLS on the cell-count likelihood.
+    """Fit log lambda_t = gamma . x_t (+ spline(t)) by IRLS on the cell-count
+    likelihood.
 
+    Covariates are the series' named static rasters or dynamic (T, ny, nx)
+    arrays; a period indicator is a dynamic covariate constant in space.
     Cells with a NODATA (NaN) covariate value are excluded from the
-    likelihood.  When the covariate stack is static and no time terms are
+    likelihood.  When the covariate stack is static and no time spline is
     requested, periods collapse into per-cell totals with exposure T * area,
     which is the identical likelihood at a fraction of the cost.
     """
@@ -158,8 +155,11 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
         raise ValueError("series must contain at least one period")
     grid = series.grid
     T, n = series.T, grid.n_cells
-    time_design, time_names, basis = _time_design(T, options)
-    columns = ["intercept"] + covariate_names + time_names
+    periods = np.arange(1, T + 1, dtype=float)
+    basis = (natural_cubic_basis(periods, options.time_spline_df)
+             if options.time_spline_df > 0 else None)
+    spline_names = ["time_spline_%d" % j for j in range(1, basis.df + 1)] if basis else []
+    columns = ["intercept"] + covariate_names + spline_names
     k_cov = 1 + len(covariate_names)
     cellmask = grid.mask.ravel()
     bases = [series.treatment(t).base for t in range(1, T + 1)]
@@ -167,18 +167,17 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
 
     # One (P, n_cells, k) design in period-major order, NODATA cells dropped;
     # P = 1 when the periods collapse.
-    static = series.is_static(covariate_names) and not time_names
+    static = series.is_static(covariate_names) and basis is None
     P = 1 if static else T
     design = np.empty((P, n, len(columns)))
     design[:, :, 0] = 1.0
     valid = np.tile(cellmask, (P, 1))
     for j, name in enumerate(covariate_names, start=1):
-        cov = series.covariates[name]
-        values = (cov.values if isinstance(cov, Raster) else cov).reshape(-1, n)
+        values = _values(series.covariates[name]).reshape(-1, n)
         design[:, :, j] = values  # a static raster's one row broadcasts
         valid &= np.isfinite(values)
-    if time_names:
-        design[:, :, k_cov:] = time_design[:, None, :]
+    if basis is not None:
+        design[:, :, k_cov:] = basis.design(periods)[:, None, :]
     X = design.reshape(P * n, -1) if valid.all() else design[valid]
     if not static:
         cells = cells + n * np.repeat(np.arange(T), [len(b) for b in bases])
@@ -186,20 +185,12 @@ def fit_poisson_intensity(series: PatternSeries, covariate_names,
     offset = np.full(X.shape[0], np.log((T if static else 1) * grid.cell_area))
 
     fit = fit_glm(X, y, family="poisson", columns=columns, offset=offset,
-                  ridge=options.ridge, tol=options.tol, max_iter=options.max_iter)
+                  ridge=options.ridge)
 
     coef = {"intercept": float(fit.coef[0])}
     coef.update({n: float(c) for n, c in zip(covariate_names, fit.coef[1:k_cov])})
-    spline_coef = None
-    if basis is not None:
-        spline_coef = fit.coef[k_cov:k_cov + basis.df].copy()
-    ind_coef = {}
-    for name, c in zip(columns[k_cov + (basis.df if basis else 0):],
-                       fit.coef[k_cov + (basis.df if basis else 0):]):
-        ind_coef[name.split(":", 1)[1]] = float(c)
-
     model = IntensityModel(coefficients=coef, time_spline=basis,
-                           time_spline_coef=spline_coef, indicator_coef=ind_coef)
+                           time_spline_coef=fit.coef[k_cov:].copy() if basis else None)
     report = ConvergenceReport(
         iterations=fit.iterations, deviance=fit.deviance, converged=fit.converged,
         max_abs_score=fit.max_abs_score, deviance_trace=fit.deviance_trace,
@@ -214,7 +205,8 @@ def predict_intensity(fit: FittedPropensity, covariates: dict[str, Raster],
 
     Zero means "outside the model's support": such cells are excluded from
     integrals, and any event there raises an overlap violation downstream.
-    Intercept-only models need an explicit ``grid``.
+    Intercept-only models need an explicit ``grid``; models with a time
+    spline need the period ``t``.
     """
     model = fit.model
     missing = [n for n in model.covariate_names if n not in covariates]
@@ -225,16 +217,11 @@ def predict_intensity(fit: FittedPropensity, covariates: dict[str, Raster],
         grid = grids[0]
     elif grid is None:
         raise ValueError("model has no covariates; pass the grid explicitly")
-    eta = np.full((grid.ny, grid.nx), model.coefficients["intercept"])
-    for name in model.covariate_names:
-        eta = eta + model.coefficients[name] * covariates[name].values
-    if model.time_spline is not None or model.indicator_coef:
-        if t is None:
-            raise ValueError("model has time terms; predict_intensity needs t")
-        eta = eta + model.time_offset(t, fit._indicators)
-    valid = np.isfinite(eta) & grid.mask
-    lam = np.where(valid, np.exp(np.where(valid, eta, 0.0)), 0.0)
-    return Raster(grid, lam)
+    if model.time_spline is not None and t is None:
+        raise ValueError("model has time terms; predict_intensity needs t")
+    lam = _intensity(model, {n: covariates[n].values for n in model.covariate_names},
+                     grid, [t])
+    return Raster(grid, lam[0])
 
 
 def log_pattern_density(intensity: Raster, pattern: PointPattern,
@@ -291,10 +278,7 @@ def fit_diagnostics(fit: FittedPropensity, series: PatternSeries,
     if n_train < 1:
         raise ValueError("split leaves no training periods")
     train = prefix_series(series, n_train)
-    refit = fit_poisson_intensity(train, fit.model.covariate_names,
-                                  _truncated_options(fit.options, n_train))
-    # Out-of-sample prediction needs indicator values past the training window.
-    refit._indicators = fit.options.period_indicators
+    refit = fit_poisson_intensity(train, fit.model.covariate_names, fit.options)
     out_expected = np.array([refit.intensity_integral(series, t) for t in periods])
     out_resid = observed - out_expected
 
@@ -318,13 +302,4 @@ def fit_diagnostics(fit: FittedPropensity, series: PatternSeries,
         outsample_residuals=out_resid, outsample_trend=slope,
         outsample_trend_se=se, trend_flagged=flagged,
     )
-
-
-def _truncated_options(options: PropensityOptions, n: int) -> PropensityOptions:
-    ind = None
-    if options.period_indicators:
-        ind = {k: np.asarray(v)[:n] for k, v in options.period_indicators.items()}
-    return PropensityOptions(time_spline_df=options.time_spline_df,
-                             period_indicators=ind, ridge=options.ridge,
-                             tol=options.tol, max_iter=options.max_iter)
 

@@ -38,6 +38,7 @@ from .interventions import (
 )
 from .mediation import MediatorScoreModel, binary_tree
 from .patterns import MarkedPointPattern, PatternSeries, PointPattern, prefix_series
+from .propensity import IntensityModel, _intensity
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,10 @@ class SyntheticDGP:
 
     def treatment_intensity(self) -> Raster:
         """exp(gamma . x) on the grid (static covariates)."""
-        grid = self.grid
-        eta = np.full((grid.ny, grid.nx), self.propensity_coef.get("intercept", 0.0))
-        for name, coef in self.propensity_coef.items():
-            if name == "intercept":
-                continue
-            eta = eta + coef * self.covariates[name].values
-        lam = np.where(grid.mask, np.exp(eta), 0.0)
-        return Raster(grid, lam)
+        model = IntensityModel({"intercept": 0.0, **self.propensity_coef})
+        values = {n: cov.values for n, cov in self.covariates.items()}
+        lam = _intensity(model, values, self.grid, [None])
+        return Raster(self.grid, lam[0])
 
     def propensity_intervention(self) -> TreatmentIntervention:
         lam = self.treatment_intensity()

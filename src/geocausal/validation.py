@@ -95,14 +95,13 @@ def default_dgp(treatment_rate: float = 0.1, mu0_rate: float = 0.3,
         "bump_c": _gaussian_bump(grid, 3.4, 3.2, 1.3),
         "bump_d": _gaussian_bump(grid, 5.8, 6.9, 1.1),
     }
-    slopes = {"bump_a": 1.6, "bump_b": 0.9, "bump_c": -1.1, "bump_d": 0.8}
-    eta = sum(slopes[n] * covs[n].values for n in slopes)
-    mass = float(np.sum(np.exp(eta)) * grid.cell_area)
-    coef = {"intercept": math.log(treatment_rate / mass)}
-    coef.update(slopes)
-
     mu0 = _gaussian_bump(grid, 5.0, 5.0, 2.0)
     mu0 = Raster(grid, mu0.values * (mu0_rate / integrate_raster(mu0)))
+
+    slopes = {"bump_a": 1.6, "bump_b": 0.9, "bump_c": -1.1, "bump_d": 0.8}
+    mass = integrate_raster(SyntheticDGP(grid, covs, slopes, mu0).treatment_intensity())
+    coef = {"intercept": math.log(treatment_rate / mass)}
+    coef.update(slopes)
 
     mediator_coef = None
     if mediator or mediator_bonus > 0.0:

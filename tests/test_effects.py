@@ -17,6 +17,7 @@ from geocausal.effects import (
     hajek_variance,
     per_period_contrasts,
     variance_bound,
+    window_weights,
 )
 from geocausal.errors import OverlapViolationError
 from geocausal.geometry import (
@@ -294,6 +295,14 @@ def test_truncation_keeps_an_underflowed_weight():
     lw0 = np.array([-800.0, -800.0, -800.0, 0.0])
     with pytest.raises(ValueError, match="quantile 0.5"):
         WeightSeries(L=1, log_weights=lw0, weights=np.exp(lw0)).truncated(0.5)
+
+
+def test_an_overflowed_weight_is_rejected_with_its_period():
+    # exp(800) overflows to inf while the log-weight stays finite
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="weight at t=3"):
+        window_weights(np.array([[1.0, 2.0, 800.0, 1.0]]), 1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="weight at t=2"):
+        window_weights(np.array([[800.0, 1.0, 2.0]]), 2)
 
 
 def test_effect_by_distance_band():

@@ -206,6 +206,19 @@ def test_propensity_model_json_round_trip(tmp_path):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_propensity_model_with_indicator_terms_is_rejected():
+    # model.json files written before period indicators became covariates
+    # may carry indicator_coef terms that no model can evaluate any more
+    payload = {"coefficients": {"intercept": -1.0}, "knots": [], "time_spline_coef": [],
+               "indicator_coef": {"surge": 0.7},
+               "options": {"time_spline_df": 0, "ridge": 0.0, "tol": 1e-8, "max_iter": 100}}
+    with pytest.raises(ValueError, match="indicator_coef"):
+        propensity_model_from_dict(payload)
+    payload["indicator_coef"] = {}
+    back = propensity_model_from_dict(payload)
+    assert back.model.coefficients == {"intercept": -1.0}
+
+
 def test_coverage_table_writer(tmp_path):
     rows = [{"estimand": "ate", "T": 500, "bias_ipw": -0.1},
             {"estimand": "ate", "T": 2000, "bias_ipw": -0.02, "extra": 1.0}]

@@ -113,6 +113,17 @@ def test_series_requires_contiguous_periods():
         PatternSeries(grid, [t1], [y_wrong])
 
 
+def test_series_requires_marked_treatments():
+    window = make_window()
+    grid = build_grid(window, 4, 4)
+    treatments = [empty_marked(1, window), empty_marked(2, window).base,
+                  empty_marked(3, window)]
+    outcomes = [PointPattern(time=t, points=np.zeros((0, 2)), window=window)
+                for t in (1, 2, 3)]
+    with pytest.raises(ValueError, match="treatment at index 1 is a PointPattern"):
+        PatternSeries(grid, treatments, outcomes)
+
+
 def test_series_rejects_a_wrongly_shaped_dynamic_covariate():
     grid = build_grid(make_window(), 4, 4)
     series = series_from_outcomes(grid, [np.zeros((0, 2))] * 3)

@@ -8,7 +8,7 @@ import pytest
 
 from geocausal.errors import OverlapViolationError, RankDeficiencyError
 from geocausal.geometry import Raster, SpatialWindow, build_grid, integrate_raster
-from geocausal.patterns import MarkedPointPattern, PatternSeries, PointPattern
+from geocausal.patterns import MarkedPointPattern, PatternSeries, PointPattern, prefix_series
 from geocausal import propensity
 from geocausal.propensity import (
     FittedPropensity,
@@ -124,7 +124,8 @@ def test_predict_intensity_contracts():
 @pytest.mark.parametrize("dynamic", [False, True])
 def test_prediction_cache_follows_the_series(monkeypatch, dynamic):
     # A warm fit asked about a second series answers for that series, and
-    # decides once per series whether one prediction serves every period.
+    # evaluates the intensity once per series switch: one raster when the
+    # model is static on it, else one pass over every period.
     grid = build_grid(SpatialWindow(bounds=(0, 0, 1, 1)), 4, 4)
     rng = np.random.default_rng(1)
     T = 20
@@ -142,7 +143,7 @@ def test_prediction_cache_follows_the_series(monkeypatch, dynamic):
 
     want = {(s, t): fresh(s, t) for s in (s1, s2) for t in (1, 3)}
     assert want[s1, 1] != want[s2, 1]
-    counts = {"predict": 0, "is_static": 0}
+    counts = {"evaluate": 0, "is_static": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -150,8 +151,8 @@ def test_prediction_cache_follows_the_series(monkeypatch, dynamic):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(propensity, "predict_intensity",
-                        counted("predict", propensity.predict_intensity))
+    monkeypatch.setattr(propensity, "_intensity",
+                        counted("evaluate", propensity._intensity))
     monkeypatch.setattr(PatternSeries, "is_static",
                         counted("is_static", PatternSeries.is_static))
     for series in (s1, s2, s1):
@@ -159,7 +160,7 @@ def test_prediction_cache_follows_the_series(monkeypatch, dynamic):
             fit.log_density(series, t)
         assert [fit.intensity_integral(series, t) for t in (1, 3)] == \
             [want[series, 1], want[series, 3]]
-    assert counts == {"predict": 3 * (T if dynamic else 1), "is_static": 3}
+    assert counts == {"evaluate": 3, "is_static": 3}
 
 
 def test_nodata_cells_masked():
@@ -258,6 +259,12 @@ def test_fit_diagnostics_flags_trend():
         fit_diagnostics(fit, series, split=1.5)
 
 
+def period_indicator(grid, values):
+    """A per-period value as a dynamic covariate constant in space."""
+    values = np.asarray(values, dtype=float)
+    return np.broadcast_to(values[:, None, None], (values.size, grid.ny, grid.nx))
+
+
 def test_time_spline_and_indicator_terms():
     window = SpatialWindow(bounds=(0.0, 0.0, 2.0, 2.0))
     grid = build_grid(window, 6, 6)
@@ -267,13 +274,41 @@ def test_time_spline_and_indicator_terms():
     surge[100:150] = 1.0
     pts = [rng.uniform(0, 2, size=(rng.poisson(2.0 * (2.0 if surge[t] else 1.0)), 2))
            for t in range(T)]
-    series = make_series(grid, pts)
-    options = PropensityOptions(period_indicators={"surge": surge})
-    fit = fit_poisson_intensity(series, [], options)
-    assert fit.model.indicator_coef["surge"] == pytest.approx(math.log(2.0), abs=0.25)
+    series = make_series(grid, pts, {"surge": period_indicator(grid, surge)})
+    fit = fit_poisson_intensity(series, ["surge"])
+    assert fit.model.coefficients["surge"] == pytest.approx(math.log(2.0), abs=0.25)
     assert not fit.report.collapsed
 
     options2 = PropensityOptions(time_spline_df=3)
     fit2 = fit_poisson_intensity(series, [], options2)
     assert fit2.model.time_spline is not None
     assert fit2.report.converged
+
+
+def test_period_indicator_is_held_without_a_copy_and_predicts_out_of_sample():
+    window = SpatialWindow(bounds=(0.0, 0.0, 2.0, 2.0))
+    grid = build_grid(window, 6, 6)
+    rng = np.random.default_rng(14)
+    T = 120
+    surge = (np.arange(T) % 10 < 3).astype(float)
+    pts = [rng.uniform(0, 2, size=(rng.poisson(1.5 * (3.0 if surge[t] else 1.0)), 2))
+           for t in range(T)]
+    series = make_series(grid, pts, {"surge": period_indicator(grid, surge)})
+    assert np.shares_memory(series.covariates["surge"], surge)
+    assert np.shares_memory(prefix_series(series, 90).covariates["surge"], surge)
+
+    fit = fit_poisson_intensity(series, ["surge"], PropensityOptions(time_spline_df=2))
+    diag = fit_diagnostics(fit, series, split=0.75)
+    # Out of sample, the training-window fit predicts each held-out period
+    # from its own indicator value: surge periods expect about three times
+    # the others.
+    hold = diag.periods > diag.train_periods
+    on = diag.outsample_expected[hold & (surge == 1.0)]
+    off = diag.outsample_expected[hold & (surge == 0.0)]
+    assert np.all(np.isfinite(diag.outsample_expected))
+    assert on.mean() / off.mean() == pytest.approx(3.0, rel=0.35)
+    refit = fit_poisson_intensity(prefix_series(series, 90), ["surge"],
+                                  PropensityOptions(time_spline_df=2))
+    want = [FittedPropensity(refit.model, refit.report, refit.options)
+            .intensity_integral(series, t) for t in range(1, T + 1)]
+    assert diag.outsample_expected.tolist() == want
