@@ -193,9 +193,9 @@ class SmoothedOutcomes:
         return self.rows(t)[0]
 
     def region_integrals(self, region: Region, L: int = 1) -> np.ndarray:
-        """integral_B smooth(Y_t) for t in [L, T]."""
-        mask = region.resolve_mask(self.series.grid).ravel()
-        return self.rows(L)[:, mask].sum(axis=1)
+        """integral_B smooth(Y_t) for t in [L, T]; rows are snapped, so these
+        sums are exact in any order and at any BLAS thread count."""
+        return _masked_row_sums(self.rows(L), region.resolve_mask(self.series.grid))
 
     def contributions(self, w1: WeightSeries, w2: WeightSeries) -> np.ndarray:
         """Per-cell effect contributions ``w'_t v - w''_t v`` for t in [L, T].
@@ -309,12 +309,29 @@ def _interval(center: float, var: float, n: int, z: float) -> tuple[float, float
     return (center - half, center + half)
 
 
+def _masked_row_sums(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``rows[:, mask.ravel()].sum(axis=1)`` as one matrix-vector product.
+
+    Rows snapped by ``snap_for_exact_sums`` sum without rounding in any
+    order, and so do the finite rows it leaves alone (all zero, or an
+    underflowed quantum: multiples of 2**-1074 summing below 2**-1021); an
+    exact zero is +0.0 either way.  A non-finite row is summed as before.
+    """
+    mask = mask.ravel()
+    with np.errstate(invalid="ignore"):  # inf * 0.0 outside the mask
+        out = rows @ mask.astype(float)
+    redo = ~np.isfinite(out)
+    out[redo] = rows[redo][:, mask].sum(axis=1)
+    return out
+
+
 def per_period_contrasts(smoothed: SmoothedOutcomes, region: Region,
                          w1: WeightSeries, w2: WeightSeries) -> np.ndarray:
-    """Per-period IPW contrasts: region sums of the snapped contributions, so
-    sums over any partition of the region reproduce them bit-exactly."""
-    mask = region.resolve_mask(smoothed.series.grid).ravel()
-    return smoothed.contributions(w1, w2)[:, mask].sum(axis=1)
+    """Per-period IPW contrasts: region sums of the snapped contributions,
+    exact in any order, so sums over any partition of the region reproduce
+    them bit-exactly and the BLAS thread count changes no bit."""
+    return _masked_row_sums(smoothed.contributions(w1, w2),
+                            region.resolve_mask(smoothed.series.grid))
 
 
 def estimate_ate(series: PatternSeries, propensity: FittedPropensity,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Raster, RasterGrid, integrate_raster, normalize_raster
 from .patterns import PointPattern
-from .propensity import log_pattern_density
+from .propensity import _log_density
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class TreatmentIntervention:
     # raster has no mass), what sample_pattern draws cells from
     cell_probabilities: tuple = field(default=None, init=False, repr=False,
                                       compare=False)
+    # per raster: the flat np.log of its values, what densities read
+    log_values: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rasters = self.rasters
@@ -54,6 +56,11 @@ class TreatmentIntervention:
         object.__setattr__(self, "integrals", totals)
         object.__setattr__(self, "cell_probabilities",
                            tuple(_cell_probabilities(r) for r in rasters))
+        with np.errstate(divide="ignore"):
+            logs = tuple(np.log(r.values.ravel()) for r in rasters)
+        for log in logs:
+            log.setflags(write=False)
+        object.__setattr__(self, "log_values", logs)
 
     @property
     def rasters(self) -> list[Raster]:
@@ -187,11 +194,12 @@ def log_intervention_density(iv: TreatmentIntervention, pattern: PointPattern,
                              offset: int = 0) -> float:
     """Poisson log-density of a pattern under the intervention intensity.
 
-    Same reference process (and same code path) as the propensity module, so
-    ratios of the two are exact density ratios.
+    Same reference process, and bits, as ``log_pattern_density`` on the
+    offset's raster, so ratios with the propensity are exact density ratios.
     """
-    integral = iv.integrals[offset % len(iv.integrals)]
-    return log_pattern_density(iv.raster_for_offset(offset), pattern, integral=integral)
+    k = offset % len(iv.integrals)
+    return _log_density(iv.log_values[k], iv.raster_for_offset(offset), pattern,
+                        iv.integrals[k])
 
 
 def sample_pattern(iv: TreatmentIntervention, rng: np.random.Generator,

@@ -20,6 +20,7 @@ series holds it without a copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,23 +105,27 @@ class FittedPropensity:
         self.model = model
         self.report = report
         self.options = options
-        # (intensity raster, its integral) per period of ``_series``, or one
-        # pair serving every period when the model is static on that series.
+        # (intensity raster, its integral, its flat np.log) per period of
+        # ``_series``, or one serving every period when the model is static.
         self._series: PatternSeries | None = None
-        self._predicted: list[tuple[Raster, float]] = []
+        self._predicted: list[tuple[Raster, float, np.ndarray]] = []
 
     @property
     def converged(self) -> bool:
         return self.report.converged
 
-    def _period(self, series: PatternSeries, t: int) -> tuple[Raster, float]:
+    def _period(self, series: PatternSeries, t: int) -> tuple[Raster, float, np.ndarray]:
+        if not 1 <= t <= series.T:
+            raise ValueError("period t=%d is outside 1..T=%d" % (t, series.T))
         if series is not self._series:
             names = self.model.covariate_names
             static = series.is_static(names) and self.model.time_spline is None
             lam = _intensity(self.model, {n: _values(series.covariates[n]) for n in names},
                              series.grid, [None] if static else range(1, series.T + 1))
+            with np.errstate(divide="ignore"):
+                logs = np.log(lam.reshape(len(lam), -1))
             rasters = [Raster(series.grid, row) for row in lam]
-            self._predicted = [(r, integrate_raster(r)) for r in rasters]
+            self._predicted = [(r, integrate_raster(r), log) for r, log in zip(rasters, logs)]
             self._series = series
         return self._predicted[0 if len(self._predicted) == 1 else t - 1]
 
@@ -133,8 +138,8 @@ class FittedPropensity:
 
     def log_density(self, series: PatternSeries, t: int) -> float:
         """log e_t of the observed treatment pattern at period t."""
-        raster, integral = self._period(series, t)
-        return log_pattern_density(raster, series.treatment(t).base, integral=integral)
+        raster, integral, log_lam = self._period(series, t)
+        return _log_density(log_lam, raster, series.treatment(t).base, integral)
 
 
 def fit_poisson_intensity(series: PatternSeries, covariate_names,
@@ -229,8 +234,8 @@ def log_pattern_density(intensity: Raster, pattern: PointPattern,
     """Poisson log-density of a pattern w.r.t. the unit-rate reference.
 
     The shared exp(|Omega|) reference constant is omitted; it cancels in
-    every ratio of densities on the same window.
-    """
+    every ratio of densities on the same window.  ``_log_density`` gives
+    its bits from a log table."""
     grid = intensity.grid
     total = integrate_raster(intensity) if integral is None else integral
     if len(pattern) == 0:
@@ -243,6 +248,18 @@ def log_pattern_density(intensity: Raster, pattern: PointPattern,
             % (i, pattern.points[i, 0], pattern.points[i, 1], pattern.time)
         )
     return float(np.sum(np.log(lam)) - total)
+
+
+def _log_density(log_lam: np.ndarray, intensity: Raster, pattern: PointPattern,
+                 integral: float) -> float:
+    """``log_pattern_density``'s bits from ``log_lam``, the flat log of lambda.
+    A non-finite sum (zero, NODATA, NaN or inf lambda) is handed to it."""
+    if len(pattern) == 0:
+        return -integral
+    total = float(np.add.reduce(log_lam[pattern.cell_indices(intensity.grid)]))
+    if not math.isfinite(total):
+        return log_pattern_density(intensity, pattern, integral=integral)
+    return total - integral
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -448,6 +449,24 @@ def test_import_and_ate_leave_scipy_stats_and_spatial_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "results.json").exists()
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Region sums and contrasts are BLAS matrix-vector products over snapped
+    # rows, exact in any order, so ate and mediate write the same bytes with
+    # one BLAS thread and with two.
+    cfg = make_workspace(tmp_path, estimands=("ate", "mediate"))
+    script = ("import sys; from geocausal import pipeline; "
+              "pipeline.run(pipeline.load_config(sys.argv[1]))")
+    blobs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((tmp_path / "out" / "results.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["status"] == {"ate": "ok", "mediate": "ok"}
 
 
 @pytest.mark.skipif(not (GOLDEN / "results.json").exists(),

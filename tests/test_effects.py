@@ -339,6 +339,12 @@ def _west_region():
                   label="west")
 
 
+def _scattered_cells(grid):
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    mask[::3, 1::2] = True
+    return Region(cell_mask=mask, label="scattered")
+
+
 @pytest.mark.parametrize("L", [1, 3])
 def test_row_operations_match_per_period_loop(fitted_world, L):
     # reference: one period at a time, straight from the smoothing function
@@ -349,7 +355,7 @@ def test_row_operations_match_per_period_loop(fitted_world, L):
     wB = compute_weight_series(series, fit, intensified(baseline, 0.2), L)
     smoothed = SmoothedOutcomes(series, spec)
     acc = np.zeros(grid.n_cells)
-    for region in (Region.whole_window(grid), _west_region()):
+    for region in (Region.whole_window(grid), _west_region(), _scattered_cells(grid)):
         mask = region.resolve_mask(grid).ravel()
         want = []
         for i, t in enumerate(range(L, series.T + 1)):
@@ -375,7 +381,7 @@ def test_region_integrals_are_masked_row_sums(fitted_world):
     rows = smoothed.rows(1)
     assert rows.shape == (series.T, grid.n_cells)
     assert not rows.flags.writeable
-    for region in (Region.whole_window(grid), _west_region()):
+    for region in (Region.whole_window(grid), _west_region(), _scattered_cells(grid)):
         mask = region.resolve_mask(grid).ravel()
         for L in (1, 4):
             got = smoothed.region_integrals(region, L=L)
@@ -383,3 +389,32 @@ def test_region_integrals_are_masked_row_sums(fitted_world):
             want = [float(np.sum(smoothed_cell_values(series.outcome(t), spec, grid)[mask]))
                     for t in range(L, series.T + 1)]
             assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_masked_row_sums_match_the_ordered_sum_on_every_kind_of_row():
+    # The matrix-vector product gives the ordered masked sum's bits, signed
+    # zeros included, on snapped rows and on the rows snap_for_exact_sums
+    # leaves alone: a non-finite value outside the mask, an underflowing
+    # quantum, all zeros.
+    from geocausal.effects import _masked_row_sums
+
+    n = 64
+    rng = np.random.default_rng(12)
+    mask = np.arange(n) % 3 == 1
+    special = rng.normal(size=(8, n))
+    special[0] *= 1e-300  # quantum 2**-1042: subnormal, still snapped
+    special[1] *= 1e-310  # quantum underflows to 0: left alone
+    special[2, 0] = np.inf  # non-finite outside the mask: left alone
+    special[3, 2] = np.nan
+    special[4] = -0.0
+    special[5] = 0.0
+    special[6, mask] = -0.0  # nonzero row, masked cells all -0.0
+    special[7] *= 1e250
+    scales = 10.0 ** rng.uniform(-300, 300, size=(200, 1))
+    rows = np.vstack([special, rng.normal(size=(200, n)) * scales])
+    snapped = snap_for_exact_sums(rows, n_terms=n)
+    assert snapped[0].tobytes() != rows[0].tobytes()
+    assert snapped[1:6].tobytes() == rows[1:6].tobytes()
+    for m in (mask, ~mask, np.ones(n, dtype=bool)):
+        got = _masked_row_sums(snapped, m)
+        assert got.tobytes() == snapped[:, m].sum(axis=1).tobytes()

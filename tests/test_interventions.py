@@ -132,13 +132,24 @@ def test_log_intervention_density_contracts():
     empty = PointPattern(time=1, points=np.zeros((0, 2)), window=grid.window)
     assert log_intervention_density(iv, empty) == pytest.approx(-4.0, rel=1e-9)
 
-    # shared code path with the propensity module's pattern density
+    # the per-raster log tables give log_pattern_density's bits: a list
+    # intensity at several offsets, an empty pattern, and 1, 2 and 12 events
     from geocausal.propensity import log_pattern_density
 
-    pat = PointPattern(time=1, points=np.array([[0.5, 0.5], [0.3, 0.7]]),
-                       window=grid.window)
-    assert log_intervention_density(iv, pat) == log_pattern_density(
-        iv.rasters[0], pat, integral=iv.integrals[0])
+    rasters = [Raster(grid, 4.0 * bump_raster(grid, cx=c).values) for c in (0.3, 0.5, 0.7)]
+    ivs = TreatmentIntervention(intensity=rasters, expected_count=4.0)
+    assert not any(log.flags.writeable for log in ivs.log_values)
+    rng = np.random.default_rng(6)
+    patterns = [empty] + [PointPattern(time=1, points=rng.uniform(size=(n, 2)),
+                                       window=grid.window) for n in (1, 2, 12)]
+    for pat in patterns:
+        assert log_intervention_density(iv, pat) == log_pattern_density(
+            iv.rasters[0], pat, integral=iv.integrals[0])
+        for offset in range(7):
+            got = log_intervention_density(ivs, pat, offset=offset)
+            want = log_pattern_density(ivs.rasters[offset % 3], pat,
+                                       integral=ivs.integrals[offset % 3])
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_sample_pattern_poisson_count():

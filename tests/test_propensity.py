@@ -8,7 +8,13 @@ import pytest
 
 from geocausal.errors import OverlapViolationError, RankDeficiencyError
 from geocausal.geometry import Raster, SpatialWindow, build_grid, integrate_raster
-from geocausal.patterns import MarkedPointPattern, PatternSeries, PointPattern, prefix_series
+from geocausal.patterns import (
+    MarkedPointPattern,
+    PatternSeries,
+    PointPattern,
+    history_maps,
+    prefix_series,
+)
 from geocausal import propensity
 from geocausal.propensity import (
     FittedPropensity,
@@ -174,10 +180,15 @@ def test_nodata_cells_masked():
     lam = predict_intensity(fit, {"x": cov})
     assert lam.values[0, 0] == 0.0  # NODATA cell excluded from prediction
     assert np.all(lam.values[np.isfinite(vals)] > 0.0)
-    # an event on the NODATA cell is an overlap violation
+    # an event on the NODATA cell is an overlap violation, with the same
+    # message from the fitted density as from log_pattern_density
     bad = PointPattern(time=1, points=np.array([[0.1, 0.1]]), window=grid.window)
-    with pytest.raises(OverlapViolationError):
+    with pytest.raises(OverlapViolationError) as want:
         log_pattern_density(lam, bad)
+    other = make_series(grid, [np.array([[0.6, 0.6], [0.1, 0.1]])], {"x": cov})
+    with pytest.raises(OverlapViolationError) as got:
+        fit.log_density(other, 1)
+    assert str(got.value) == str(want.value).replace("event 0", "event 1")
 
 
 def test_log_density_hand_value():
@@ -312,3 +323,67 @@ def test_period_indicator_is_held_without_a_copy_and_predicts_out_of_sample():
     want = [FittedPropensity(refit.model, refit.report, refit.options)
             .intensity_integral(series, t) for t in range(1, T + 1)]
     assert diag.outsample_expected.tolist() == want
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_log_density_matches_log_pattern_density_bit_for_bit(dynamic):
+    # The fitted density reads a per-series log table; log_pattern_density on
+    # the same raster and integral is the reference, on every period,
+    # including empty ones and ones of 8 or more events (pairwise summation).
+    dgp = default_dgp(treatment_rate=4.0)
+    series = simulate_series(dgp, 80, 22)
+    names = sorted(dgp.covariates)
+    if dynamic:
+        maps = history_maps(series, lags=(1, 7), coef=-6.0)
+        series = PatternSeries(series.grid, series.treatments, series.outcomes,
+                               {**series.covariates, **maps})
+        names += sorted(maps)
+    fit = fit_poisson_intensity(series, names)
+    counts = [len(series.treatment(t).base) for t in range(1, series.T + 1)]
+    assert min(counts) == 0 and max(counts) >= 8
+    for t in range(1, series.T + 1):
+        want = log_pattern_density(fit.intensity(series, t), series.treatment(t).base,
+                                   integral=fit.intensity_integral(series, t))
+        assert _bits(fit.log_density(series, t)) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_log_table_hands_non_finite_sums_to_log_pattern_density(bad):
+    # zero and NaN intensity at an event raise log_pattern_density's overlap
+    # error; an overflowed (+inf) intensity returns its non-finite value
+    grid = build_grid(SpatialWindow(bounds=(0, 0, 1, 1)), 4, 4)
+    vals = np.full((4, 4), 2.0)
+    vals[0, 0] = bad
+    lam = Raster(grid, vals)
+    with np.errstate(divide="ignore"):
+        table = np.log(lam.values.ravel())
+    pat = PointPattern(time=3, points=np.array([[0.6, 0.6], [0.1, 0.1]]),
+                       window=grid.window)
+    if bad == np.inf:
+        want = log_pattern_density(lam, pat, integral=2.0)
+        assert want == np.inf
+        assert _bits(propensity._log_density(table, lam, pat, 2.0)) == _bits(want)
+        return
+    with pytest.raises(OverlapViolationError) as want:
+        log_pattern_density(lam, pat, integral=2.0)
+    with pytest.raises(OverlapViolationError) as got:
+        propensity._log_density(table, lam, pat, 2.0)
+    assert str(got.value) == str(want.value)
+    assert "event 1 at (0.1, 0.1) in period 3" in str(got.value)
+
+
+def test_period_outside_the_series_is_rejected():
+    # t outside 1..T is a ValueError naming t and T: no wrap-around through
+    # negative indexing for t <= 0, no bare IndexError for t > T
+    grid = build_grid(SpatialWindow(bounds=(0, 0, 1, 1)), 4, 4)
+    series = make_series(grid, [np.array([[0.5, 0.5]])] * 5)
+    fit = fit_poisson_intensity(series, [])
+    for method in (fit.log_density, fit.intensity, fit.intensity_integral):
+        for t in (0, -1, 6):
+            with pytest.raises(ValueError, match=r"t=%d is outside 1\.\.T=5" % t):
+                method(series, t)
+        method(series, 5)
