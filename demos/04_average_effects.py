@@ -49,7 +49,7 @@ wA = compute_weight_series(series, fit, pairs[0.16].treatment, 3)
 wB = compute_weight_series(series, fit, pairs[0.06].treatment, 3)
 surface = effect_surface(series, spec, wA, wB)
 road = [np.array([[0.0, 5.0], [10.0, 5.0]])]
-shares = effect_by_distance_band(surface.mean, road, [1.0, 2.0, 5.0, 10.0])
+shares = effect_by_distance_band(surface, road, [1.0, 2.0, 5.0, 10.0])
 for d, share in shares.items():
     print("share of the total effect within %4.1f km of the road: %.2f"
           % (d, share))

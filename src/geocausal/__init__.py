@@ -27,7 +27,6 @@ from .patterns import (
     PatternSeries,
     PointPattern,
     SmoothingSpec,
-    count_in_region,
     history_maps,
     kernel_smooth,
     prefix_series,
@@ -51,20 +50,16 @@ from .interventions import (
     location_shift,
     log_intervention_density,
     power_density,
-    sample_marks,
     sample_pattern,
 )
 from .effects import (
     EffectEstimate,
     SmoothedOutcomes,
-    SurfaceEstimate,
     WeightSeries,
     compute_weight_series,
-    compute_weights,
     effect_by_distance_band,
     effect_surface,
     estimate_ate,
-    expected_events,
     hajek_variance,
     variance_bound,
 )
@@ -85,7 +80,6 @@ from .mediation import (
     StageSpec,
     auc_diagnostic,
     binary_tree,
-    compute_mediation_weights,
     compute_mediation_weight_series,
     estimate_mediation_effects,
     fit_mediator_score,

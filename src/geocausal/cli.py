@@ -81,8 +81,6 @@ def main(argv=None) -> int:
     for name, est in (("ate", ["ate"]), ("cate", ["cate"]), ("mediate", ["mediate"])):
         p = sub.add_parser(name, help="estimate %s" % name)
         p.add_argument("--L", help="intervention length(s), e.g. 3 or 1..14")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; runs are single-threaded")
         _add_common(p)
 
     p = sub.add_parser("simulate", help="write a synthetic data set")

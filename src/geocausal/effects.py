@@ -78,32 +78,6 @@ class WeightSeries:
                             np.minimum(self.weights, cap), truncation_quantile=quantile)
 
 
-def _period_log_ratio(series: PatternSeries, propensity: FittedPropensity,
-                      iv: TreatmentIntervention, t: int, offset: int) -> float:
-    pattern = series.treatment(t).base
-    try:
-        num = log_intervention_density(iv, pattern, offset=offset)
-        den = propensity.log_density(series, t)
-    except OverlapViolationError as err:
-        raise OverlapViolationError("period %d: %s" % (t, err)) from err
-    return num - den
-
-
-def compute_weights(series: PatternSeries, propensity: FittedPropensity,
-                    iv: TreatmentIntervention, L: int, t: int) -> float:
-    """Weight of period t: exp of the summed log density ratios over the window."""
-    if t < L:
-        raise ValueError("t must be at least L")
-    if L < 1 or t > series.T:
-        raise ValueError("invalid (L, t) for a series of length %d" % series.T)
-    log_w = 0.0
-    for offset, tt in enumerate(range(t - L + 1, t + 1)):
-        log_w += _period_log_ratio(series, propensity, iv, tt, offset)
-    if not math.isfinite(log_w):
-        raise ValueError("non-finite log-weight at t=%d" % t)
-    return math.exp(log_w)
-
-
 def intervention_log_densities(series: PatternSeries,
                                iv: TreatmentIntervention) -> np.ndarray:
     """Log density of every observed treatment pattern under each raster of
@@ -211,26 +185,6 @@ class SmoothedOutcomes:
         diff = v * w1.weights[:, None]
         diff -= v * w2.weights[:, None]
         return snap_for_exact_sums(diff, n_terms=self.series.grid.n_cells)
-
-
-def expected_events(series: PatternSeries, weights: WeightSeries,
-                    spec: SmoothingSpec, region: Region, L: int,
-                    mode: str = "hajek",
-                    smoothed: SmoothedOutcomes | None = None) -> float:
-    """Estimated expected outcome count in the region under the intervention."""
-    if mode not in ("ipw", "hajek"):
-        raise ValueError("mode must be 'ipw' or 'hajek'")
-    if weights.L != L:
-        raise ValueError("weight series was computed for L=%d" % weights.L)
-    smoothed = smoothed or SmoothedOutcomes(series, spec)
-    y = smoothed.region_integrals(region, L=L)
-    w = weights.weights
-    if mode == "ipw":
-        return float(np.mean(w * y))
-    total = float(np.sum(w))
-    if total == 0.0:
-        raise ValueError("Hajek estimator undefined: weights sum to zero")
-    return float(np.sum(w * y) / total)
 
 
 @dataclass(frozen=True)
@@ -360,7 +314,6 @@ def estimate_ate(series: PatternSeries, propensity: FittedPropensity,
 
 def _estimate_from_weights(smoothed: SmoothedOutcomes, region: Region,
                            wA: WeightSeries, wB: WeightSeries, L: int) -> EffectEstimate:
-    series = smoothed.series
     y = smoothed.region_integrals(region, L=L)
     n = y.size
     a1, a2 = wA.weights * y, wB.weights * y
@@ -394,16 +347,9 @@ def _estimate_from_weights(smoothed: SmoothedOutcomes, region: Region,
     )
 
 
-@dataclass(frozen=True)
-class SurfaceEstimate:
-    """Temporal-mean weighted smoothed outcome surface."""
-
-    mean: Raster
-
-
 def effect_surface(series: PatternSeries, spec: SmoothingSpec,
                    wA: WeightSeries, wB: WeightSeries,
-                   smoothed: SmoothedOutcomes | None = None) -> SurfaceEstimate:
+                   smoothed: SmoothedOutcomes | None = None) -> Raster:
     """Temporal mean of the per-period weighted surface differences.
 
     The mean surface is a density (per km^2): per-cell masses are divided by
@@ -415,7 +361,7 @@ def effect_surface(series: PatternSeries, spec: SmoothingSpec,
     diff = v * wA.weights[:, None]
     diff -= v * wB.weights[:, None]
     mean = diff.sum(axis=0) / (series.T - wA.L + 1) / grid.cell_area
-    return SurfaceEstimate(mean=Raster(grid, mean.reshape(grid.ny, grid.nx)))
+    return Raster(grid, mean.reshape(grid.ny, grid.nx))
 
 
 def effect_by_distance_band(surface: Raster, polylines, bands) -> dict[float, float]:

@@ -37,9 +37,6 @@ class GLMFit:
     score: np.ndarray
     ridge: float = 0.0
 
-    def coef_dict(self) -> dict[str, float]:
-        return {name: float(c) for name, c in zip(self.columns, self.coef)}
-
     @property
     def max_abs_score(self) -> float:
         return float(np.max(np.abs(self.score))) if self.score.size else 0.0

@@ -31,7 +31,8 @@ class TreatmentIntervention:
 
     intensity: Raster | list[Raster]
     expected_count: float
-    integrals: tuple[float, ...] = None
+    # per raster: its integral, set from the rasters
+    integrals: tuple[float, ...] = field(default=None, init=False)
     # per raster: its cell masses as multinomial probabilities (None if the
     # raster has no mass), what sample_pattern draws cells from
     cell_probabilities: tuple = field(default=None, init=False, repr=False,
@@ -224,20 +225,3 @@ def choose_marks(probs: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
     cats = sorted(probs)
     cum = np.cumsum(np.column_stack([probs[c] for c in cats]), axis=1)
     return np.minimum(np.sum(u[:, None] > cum, axis=1), len(cats) - 1)
-
-
-def sample_marks(probs: dict[str, np.ndarray], rng: np.random.Generator) -> tuple[str, ...]:
-    """Draw one categorical mark per point from per-point probabilities.
-
-    ``probs`` maps each category to an (n_points,) probability array; the
-    per-point probabilities must sum to one.  Delta shifts are applied
-    upstream by the mediator score model (stage-wise, so that categories
-    outside the shifted stage keep their probabilities).
-    """
-    cats = sorted(probs)
-    if not cats:
-        return ()
-    n = np.column_stack([probs[c] for c in cats]).shape[0]
-    if n == 0:
-        return ()
-    return tuple(cats[i] for i in choose_marks(probs, rng.uniform(size=n)))

@@ -119,17 +119,17 @@ def read_geojson_polylines(path) -> list[np.ndarray]:
     return lines
 
 
-def read_events_csv(path, grid: RasterGrid, T: int | None = None,
-                    default_mark: str = "none") -> PatternSeries:
-    """Build a PatternSeries from the event CSV.
+def read_events_csv(path, grid: RasterGrid) -> PatternSeries:
+    """Build a PatternSeries from the event CSV; T is the last period with an
+    event.
 
     Columns: ``t`` (integer >= 1), ``x``, ``y`` (km), ``stream`` in
-    {treatment, outcome}, optional ``mark`` (treatment rows only).  Any
-    malformed row is a hard error naming the line number.
+    {treatment, outcome}, optional ``mark`` (treatment rows only, ``none``
+    when empty).  Any malformed row is a hard error naming the line number.
     """
     treatment: dict[int, list] = {}
     outcome: dict[int, list] = {}
-    max_t = 0
+    T = 0
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"t", "x", "y", "stream"}
@@ -150,7 +150,7 @@ def read_events_csv(path, grid: RasterGrid, T: int | None = None,
                 raise ValueError("%s line %d: t must be >= 1, got %d" % (path, lineno, t))
             stream = (row["stream"] or "").strip().lower()
             if stream == "treatment":
-                mark = (row.get("mark") or default_mark).strip() or default_mark
+                mark = (row.get("mark") or "").strip() or "none"
                 treatment.setdefault(t, []).append((x, y, mark))
             elif stream == "outcome":
                 outcome.setdefault(t, []).append((x, y))
@@ -159,10 +159,9 @@ def read_events_csv(path, grid: RasterGrid, T: int | None = None,
                     "%s line %d: stream must be 'treatment' or 'outcome', got %r"
                     % (path, lineno, row["stream"])
                 )
-            max_t = max(max_t, t)
-    T = T if T is not None else max_t
+            T = max(T, t)
     if T < 1:
-        raise ValueError("no events found in %s and no T given" % path)
+        raise ValueError("no events found in %s" % path)
 
     window = grid.window
     treatments, outcomes = [], []

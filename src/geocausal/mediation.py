@@ -24,7 +24,6 @@ from .effects import (
     SmoothedOutcomes,
     WeightSeries,
     _estimate_from_weights,
-    _period_log_ratio,
     intervention_log_densities,
     propensity_log_densities,
     window_weights,
@@ -265,21 +264,6 @@ def mediator_log_ratios(series: PatternSeries, model: MediatorScoreModel,
     observed mark pattern; shape (T,), zero for a pass-through shift."""
     return np.array([_mediator_period_ratio(series, model, shift, t)
                      for t in range(1, series.T + 1)])
-
-
-def compute_mediation_weights(series: PatternSeries, propensity: FittedPropensity,
-                              model: MediatorScoreModel, iv: InterventionPair,
-                              L: int, t: int) -> float:
-    """Weight of period t with both treatment and mediator density ratios."""
-    if t < L:
-        raise ValueError("t must be at least L")
-    log_w = 0.0
-    for offset, tt in enumerate(range(t - L + 1, t + 1)):
-        log_w += _period_log_ratio(series, propensity, iv.treatment, tt, offset)
-        log_w += _mediator_period_ratio(series, model, iv.mediator, tt)
-    if not math.isfinite(log_w):
-        raise ValueError("non-finite mediation log-weight at t=%d" % t)
-    return math.exp(log_w)
 
 
 def compute_mediation_weight_series(series: PatternSeries,

@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .geometry import (
     Raster,
     RasterGrid,
-    Region,
     SpatialWindow,
     distance_map,
     snap_for_exact_sums,
@@ -65,13 +64,6 @@ class PointPattern:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def has_duplicates(self) -> bool:
-        """Duplicates are permitted (the data model is a point pattern) but flagged."""
-        if len(self) < 2:
-            return False
-        return len(np.unique(self.points, axis=0)) < len(self)
-
 
 @dataclass(frozen=True)
 class MarkedPointPattern:
@@ -98,11 +90,6 @@ class MarkedPointPattern:
     @property
     def points(self) -> np.ndarray:
         return self.base.points
-
-    def active(self, mark: str) -> np.ndarray:
-        """Locations whose mark equals ``mark``."""
-        idx = [i for i, m in enumerate(self.marks) if m == mark]
-        return self.base.points[idx]
 
 
 @dataclass(frozen=True)
@@ -189,18 +176,6 @@ def prefix_series(series: PatternSeries, T: int) -> PatternSeries:
         raise ValueError("prefix longer than the series")
     covs = {n: c if isinstance(c, Raster) else c[:T] for n, c in series.covariates.items()}
     return PatternSeries(series.grid, series.treatments[:T], series.outcomes[:T], covs)
-
-
-def count_in_region(pattern: PointPattern, region: Region, grid: RasterGrid) -> int:
-    """Number of events whose containing cell lies in the region.
-
-    Boundary points resolve to a cell by the floor rule, with coordinates on
-    the far window edge clipped inward, so edge events are counted.
-    """
-    if len(pattern) == 0:
-        return 0
-    mask = region.resolve_mask(grid)
-    return int(np.count_nonzero(mask.ravel()[pattern.cell_indices(grid)]))
 
 
 def _kernel_values(dist2: np.ndarray, spec: SmoothingSpec) -> np.ndarray:

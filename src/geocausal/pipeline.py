@@ -247,8 +247,9 @@ def _weight_summary(ws) -> dict:
 
 
 def _resolution_check(config: RunConfig, smoothed: SmoothedOutcomes,
-                      region: Region, n_periods: int = 12) -> dict:
-    """Relative change of region integrals on a 2x-refined grid (sampled periods)."""
+                      region: Region) -> dict:
+    """Relative change of region integrals on a 2x-refined grid, sampled every
+    ``T // 12``-th period from the first."""
     series, spec = smoothed.series, smoothed.spec
     coarse = smoothed.rows(1)
     fine = build_grid(config.window, config.grid.nx * 2, config.grid.ny * 2)
@@ -259,7 +260,7 @@ def _resolution_check(config: RunConfig, smoothed: SmoothedOutcomes,
     else:
         # each coarse cell splits into a 2x2 block of fine cells
         mask_fine = np.kron(mask2d, np.ones((2, 2), dtype=bool)).ravel()
-    step = max(1, series.T // n_periods)
+    step = max(1, series.T // 12)
     rel = []
     for t in range(1, series.T + 1, step):
         pat = series.outcome(t)
@@ -375,7 +376,7 @@ def _run_ate(config, series, fit, spec, region, smoothed, pairs) -> dict:
     wA = compute_weight_series(series, fit, baseA.treatment, L_max)
     wB = compute_weight_series(series, fit, baseB.treatment, L_max)
     surface = effect_surface(series, spec, wA, wB, smoothed=smoothed)
-    io.write_ascii_grid(surface.mean, config.out_dir / "effect_surface.asc")
+    io.write_ascii_grid(surface, config.out_dir / "effect_surface.asc")
     results["weights"] = {"A": _weight_summary(wA), "B": _weight_summary(wB)}
     return results
 

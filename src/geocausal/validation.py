@@ -5,9 +5,9 @@ score against the truth; rows aggregate bias, RMSE, CI coverage, and weight
 diagnostics.  ``coverage_experiment`` is the one replicate loop: replicate
 ``r`` runs on child ``r`` of ``SeedSequence(seed)``, oracle seeds are spawned
 after the replicates', and a picklable arm maps ``(r, seed)`` to a record.
-Every arm reads ``L``, ``count_A``/``count_B``, ``propensity_options`` and,
-per T, the bandwidth ``bandwidth_schedule[T]`` if a schedule is set, else
-``bandwidth``.  Bad inputs, such as a schedule missing one of the arm's T,
+Every arm fits the propensity with the default ``PropensityOptions`` and
+reads ``L``, ``count_A``/``count_B`` and, per T, the bandwidth
+``bandwidth_schedule[T]`` if a schedule is set, else ``bandwidth``.  Bad inputs, such as a schedule missing one of the arm's T,
 raise ``ValueError`` before any truth is computed (``geocausal validate``:
 exit 2).  Only the mediation arm reads ``oracle_draws``.
 
@@ -19,15 +19,15 @@ exit 2).  Only the mediation arm reads ``oracle_draws``.
   ``oracle_draws``): indirect effect of a delta shift on the fitted mediator
   score.  The shift is data-defined, so each replicate's truth comes from the
   oracle with its fitted score as the intervention base (0 without a bonus).
-* ``cate`` (``max(T_grid)``, ``pixel_factor``, ``moderator_slope``): projection
-  slope on a moderator affine in the true pixel-effect map, so the pixel-level
-  effect is exactly linear in it, with known slope and intercept.
+* ``cate`` (``max(T_grid)``, ``pixel_factor``): projection slope on the true
+  pixel-effect map standardised to mean 0 and sd 1, so the pixel-level effect
+  is exactly linear in it, with its sd as slope and its mean as intercept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from .effects import (
@@ -62,7 +62,7 @@ from .interventions import (
 )
 from .mediation import estimate_mediation_effects, fit_mediator_score
 from .patterns import SmoothingSpec
-from .propensity import PropensityOptions, fit_poisson_intensity
+from .propensity import fit_poisson_intensity
 from .simulate import (SyntheticDGP, exact_expected_spillover, expected_region_outcome,
                        oracle_effect, prefix_series, simulate_series)
 
@@ -147,8 +147,6 @@ class EstimatorConfig:
     delta_A: float | None = None          # mediation: shift applied under arm A
     delta_B: float | None = None          # None = pass-through
     pixel_factor: int = 8                 # cate
-    moderator_slope: float = 1.0          # cate: affine scale of the synthetic moderator
-    propensity_options: PropensityOptions = field(default_factory=PropensityOptions)
 
 
 def true_pixel_effect_map(dgp: SyntheticDGP, ivA: TreatmentIntervention,
@@ -227,8 +225,7 @@ class _Arm:
     def _fit_and_weigh(self, series, num_A: np.ndarray, num_B: np.ndarray):
         """Fit the propensity on ``series`` and weigh both arms; the log
         numerators may span a longer series, whose first periods are used."""
-        fit = fit_poisson_intensity(series, self.dgp.covariates.keys(),
-                                    self.config.propensity_options)
+        fit = fit_poisson_intensity(series, self.dgp.covariates.keys())
         den = propensity_log_densities(series, fit)
         return (window_weights(num_A[:, :series.T] - den, self.L),
                 window_weights(num_B[:, :series.T] - den, self.L))
@@ -287,8 +284,7 @@ class MediationArm(_Arm):
 
     def replicate(self, r: int, seed) -> dict:
         series = simulate_series(self.dgp, self.T, seed)
-        fit = fit_poisson_intensity(series, self.dgp.covariates.keys(),
-                                    self.config.propensity_options)
+        fit = fit_poisson_intensity(series, self.dgp.covariates.keys())
         score = fit_mediator_score(series, self.cov_names, self.stages)
         e = estimate_mediation_effects(series, fit, score, self.pairA, self.pairB,
                                        self.spec, self.region, self.L).indirect
@@ -315,10 +311,9 @@ class CateArm(_Arm):
         self.spec = SmoothingSpec(_bandwidth_for(config, self.T))
         self.partition = PixelPartition.blocks(dgp.grid, config.pixel_factor)
         true_map = true_pixel_effect_map(dgp, self.ivA, self.ivB, self.L, self.partition)
-        spread = float(np.std(true_map))
-        if spread == 0.0:
+        self.slope = float(np.std(true_map))
+        if self.slope == 0.0:
             raise ValueError("true pixel effects are constant; moderator undefined")
-        self.slope = config.moderator_slope * spread
         self.intercept = float(np.mean(true_map))
         moderator = (true_map - self.intercept) / self.slope
         self.panel = ModeratorPanel(partition=self.partition, values={"m": moderator})

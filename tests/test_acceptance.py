@@ -10,6 +10,9 @@ on a laptop-class machine.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,18 +306,24 @@ def test_criterion_10_cate_projection(fitted_world):
 
 
 def test_criterion_11_pipeline_determinism(tmp_path):
+    # The workspace's covariates are static, so no step of the run depends on
+    # the BLAS thread count.  OpenBLAS reads OPENBLAS_NUM_THREADS when numpy
+    # loads, so each run is its own process.
     from test_cli import make_workspace
-    from geocausal.cli import main
 
     cfg = make_workspace(tmp_path, T=120, seed=31)
-    assert main(["ate", "--config", str(cfg), "--threads", "1",
-                 "--out", str(tmp_path / "a")]) == 0
-    assert main(["ate", "--config", str(cfg), "--threads", "4",
-                 "--out", str(tmp_path / "b")]) == 0
-    ba = (tmp_path / "a" / "results.json").read_bytes()
-    bb = (tmp_path / "b" / "results.json").read_bytes()
-    assert ba == bb
-    payload = json.loads(ba)
+    script = ("import sys; from geocausal.cli import main; "
+              "sys.exit(main(['ate', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    blobs = []
+    for threads in ("1", "4"):
+        out = tmp_path / ("blas%s" % threads)
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(out)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((out / "results.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    payload = json.loads(blobs[0])
     assert payload["status"]["ate"] == "ok"
-    _report(11, "results.json byte-identical across runs with 1 and 4 threads "
-                "(%d bytes)" % len(ba))
+    _report(11, "results.json byte-identical across runs with 1 and 4 BLAS threads "
+                "(%d bytes)" % len(blobs[0]))

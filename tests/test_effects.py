@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from reference import _period_log_ratio, compute_weights
 
 from geocausal.effects import (
     SmoothedOutcomes,
     WeightSeries,
+    _estimate_from_weights,
     compute_weight_series,
-    compute_weights,
     effect_by_distance_band,
     effect_surface,
     estimate_ate,
-    expected_events,
     hajek_variance,
     per_period_contrasts,
     variance_bound,
@@ -102,8 +102,6 @@ def test_weight_log_vs_direct_product(fitted_world):
     iv = intensified(baseline, 0.2)
     L = 3
     ws = compute_weight_series(series, fit, iv, L)
-    from geocausal.effects import _period_log_ratio
-
     for t in (3, 50, 200):
         direct = 1.0
         for off, tt in enumerate(range(t - L + 1, t + 1)):
@@ -139,27 +137,25 @@ def test_zero_intervention_at_event_names_period(fitted_world):
     assert str(exc.value).startswith("period %d: " % t0)
 
 
-def test_expected_events_modes(fitted_world):
+def test_expected_counts_modes(fitted_world):
     dgp, series, fit, baseline = fitted_world
-    spec = SmoothingSpec(bandwidth=0.4)
+    smoothed = SmoothedOutcomes(series, SmoothingSpec(bandwidth=0.4))
     region = Region.whole_window(series.grid)
     L = 2
     n = series.T - L + 1
     ones = WeightSeries(L=L, log_weights=np.zeros(n), weights=np.ones(n))
-    ipw = expected_events(series, ones, spec, region, L, mode="ipw")
-    hajek = expected_events(series, ones, spec, region, L, mode="hajek")
-    assert ipw == pytest.approx(hajek, rel=1e-12)
-
     doubled = WeightSeries(L=L, log_weights=np.full(n, math.log(2.0)),
                            weights=np.full(n, 2.0))
-    assert expected_events(series, doubled, spec, region, L, mode="ipw") == (
-        pytest.approx(2 * ipw, rel=1e-12))
-    assert expected_events(series, doubled, spec, region, L, mode="hajek") == (
-        pytest.approx(hajek, rel=1e-12))
+    counts = _estimate_from_weights(smoothed, region, ones, doubled, L).expected_counts
+    assert counts["ipw_A"] == pytest.approx(counts["hajek_A"], rel=1e-12)
+    assert counts["ipw_B"] == pytest.approx(2 * counts["ipw_A"], rel=1e-12)
+    assert counts["hajek_B"] == pytest.approx(counts["hajek_A"], rel=1e-12)
 
     zero = WeightSeries(L=L, log_weights=np.zeros(n), weights=np.zeros(n))
-    with pytest.raises(ValueError):
-        expected_events(series, zero, spec, region, L, mode="hajek")
+    with pytest.raises(ValueError, match="weights sum to zero"):
+        _estimate_from_weights(smoothed, region, zero, ones, L)
+    with pytest.raises(ValueError, match="weights sum to zero"):
+        _estimate_from_weights(smoothed, region, ones, zero, L)
 
 
 def test_unit_weights_recover_mean_count():
@@ -177,12 +173,12 @@ def test_unit_weights_recover_mean_count():
             marks=()))
         outcomes.append(PointPattern(time=t, points=pts, window=window))
     series = PatternSeries(grid, treatments, outcomes)
-    spec = SmoothingSpec(bandwidth=0.35)
+    smoothed = SmoothedOutcomes(series, SmoothingSpec(bandwidth=0.35))
     region = Region.whole_window(grid)
     ones = WeightSeries(L=1, log_weights=np.zeros(T), weights=np.ones(T))
-    est = expected_events(series, ones, spec, region, 1, mode="ipw")
+    est = _estimate_from_weights(smoothed, region, ones, ones, 1)
     counts = np.mean([len(p) for p in outcomes])
-    assert est == pytest.approx(counts, rel=1e-3)
+    assert est.expected_counts["ipw_A"] == pytest.approx(counts, rel=1e-3)
 
 
 def test_estimate_ate_trivials(fitted_world):
@@ -230,16 +226,14 @@ def test_hajek_variance_trivials():
 
 def test_hajek_scale_invariance(fitted_world):
     dgp, series, fit, baseline = fitted_world
-    spec = SmoothingSpec(bandwidth=0.4)
+    smoothed = SmoothedOutcomes(series, SmoothingSpec(bandwidth=0.4))
     region = Region.whole_window(series.grid)
     L = 3
-    ws = compute_weight_series(series, fit, intensified(baseline, 0.5).__class__(
-        intensity=intensified(baseline, 0.5).intensity, expected_count=0.5), L)
-    base_est = expected_events(series, ws, spec, region, L, mode="hajek")
+    ws = compute_weight_series(series, fit, intensified(baseline, 0.5), L)
     scaled = WeightSeries(L=L, log_weights=ws.log_weights + math.log(7.0),
                           weights=ws.weights * 7.0)
-    scaled_est = expected_events(series, scaled, spec, region, L, mode="hajek")
-    assert scaled_est == pytest.approx(base_est, rel=1e-12)
+    counts = _estimate_from_weights(smoothed, region, ws, scaled, L).expected_counts
+    assert counts["hajek_B"] == pytest.approx(counts["hajek_A"], rel=1e-12)
 
 
 def test_mean_weight_law(fitted_world):
@@ -329,7 +323,7 @@ def test_effect_surface_consistency(fitted_world):
     wB = compute_weight_series(series, fit, intensified(baseline, 0.2), L)
     smoothed = SmoothedOutcomes(series, spec)
     surf = effect_surface(series, spec, wA, wB, smoothed=smoothed)
-    total = integrate_raster(surf.mean)
+    total = integrate_raster(surf)
     per_t = per_period_contrasts(smoothed, Region.whole_window(series.grid), wA, wB)
     assert total == pytest.approx(float(np.mean(per_t)), rel=1e-9, abs=1e-12)
 
@@ -370,7 +364,7 @@ def test_row_operations_match_per_period_loop(fitted_world, L):
         acc += wA.weights[i] * v - wB.weights[i] * v
     want_mean = (acc / (series.T - L + 1) / grid.cell_area).reshape(grid.ny, grid.nx)
     surf = effect_surface(series, spec, wA, wB, smoothed=smoothed)
-    assert surf.mean.values.tobytes() == want_mean.tobytes()
+    assert surf.values.tobytes() == want_mean.tobytes()
 
 
 def test_region_integrals_are_masked_row_sums(fitted_world):

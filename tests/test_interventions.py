@@ -13,12 +13,12 @@ from geocausal.interventions import (
     MediatorIntervention,
     PowerDensitySpec,
     TreatmentIntervention,
+    choose_marks,
     incremental_shift,
     intensified,
     location_shift,
     log_intervention_density,
     power_density,
-    sample_marks,
     sample_pattern,
 )
 from geocausal.patterns import PointPattern
@@ -197,13 +197,13 @@ def test_sample_pattern_zero_count():
         assert len(sample_pattern(iv, rng)) == 0
 
 
-def test_sample_marks_frequencies():
+def test_choose_marks_frequencies():
     rng = np.random.default_rng(10)
     n = 30000
-    probs = {"a": np.full(n, 0.2), "b": np.full(n, 0.5), "c": np.full(n, 0.3)}
-    marks = sample_marks(probs, rng)
-    for cat, p in (("a", 0.2), ("b", 0.5), ("c", 0.3)):
-        freq = sum(1 for m in marks if m == cat) / n
+    probs = {"b": np.full(n, 0.5), "a": np.full(n, 0.2), "c": np.full(n, 0.3)}
+    marks = choose_marks(probs, rng.uniform(size=n))
+    for index, p in enumerate((0.2, 0.5, 0.3)):  # indices into sorted(probs)
+        freq = np.count_nonzero(marks == index) / n
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
@@ -228,3 +228,14 @@ def test_per_period_raster_list():
     assert iv.raster_for_offset(0) is iv.rasters[0]
     assert iv.raster_for_offset(1) is iv.rasters[1]
     assert iv.raster_for_offset(2) is iv.rasters[0]
+
+
+def test_integrals_are_derived_not_passed():
+    # The integrals are computed from the rasters; a caller's value would be
+    # dropped, so passing one is an error.
+    grid = unit_grid()
+    raster = Raster(grid, 2.0 * bump_raster(grid).values)
+    with pytest.raises(TypeError, match="integrals"):
+        TreatmentIntervention(intensity=raster, expected_count=2.0, integrals=(5.0,))
+    iv = TreatmentIntervention(intensity=raster, expected_count=2.0)
+    assert iv.integrals == (integrate_raster(raster),)

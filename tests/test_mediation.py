@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import compute_mediation_weights
 
 from geocausal.effects import compute_weight_series
 from geocausal.errors import OverlapViolationError
@@ -17,7 +18,6 @@ from geocausal.mediation import (
     auc_diagnostic,
     binary_tree,
     compute_mediation_weight_series,
-    compute_mediation_weights,
     estimate_mediation_effects,
     fit_mediator_score,
     mediator_log_density,
@@ -103,7 +103,7 @@ def test_fit_mediator_score_recovery():
     n_points = sum(len(series.treatment(t)) for t in range(1, series.T + 1))
     assert n_points > 8000
     score = fit_mediator_score(series, ["bump_a"], binary_tree("hit", "none"))
-    fitted = score.fits[0].coef_dict()
+    fitted = dict(zip(score.fits[0].columns, score.fits[0].coef))
     assert abs(fitted["intercept"] - dgp.mediator_coef["intercept"]) < 0.1
     assert abs(fitted["bump_a"] - dgp.mediator_coef["bump_a"]) < 0.1
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geocausal.geometry import Raster, Region, SpatialWindow, build_grid, snap_for_exact_sums
+from geocausal.geometry import Raster, SpatialWindow, build_grid, snap_for_exact_sums
 from geocausal.patterns import (
     MarkedPointPattern,
     PatternSeries,
@@ -13,7 +13,6 @@ from geocausal.patterns import (
     SmoothingSpec,
     _kernel_quanta,
     boundary_event_fraction,
-    count_in_region,
     history_maps,
     kernel_smooth,
     smoothed_cell_values,
@@ -86,12 +85,10 @@ def test_cell_indices_are_flat_read_only_and_per_grid():
     assert empty.cell_indices(grid).shape == (0,)
 
 
-def test_duplicates_flagged_not_rejected():
+def test_duplicates_are_not_rejected():
     window = make_window()
     pat = PointPattern(time=1, points=np.array([[1.0, 1.0], [1.0, 1.0]]), window=window)
-    assert pat.has_duplicates
-    single = PointPattern(time=1, points=np.array([[1.0, 1.0]]), window=window)
-    assert not single.has_duplicates
+    assert len(pat) == 2
 
 
 def test_marks_length_must_match():
@@ -99,9 +96,6 @@ def test_marks_length_must_match():
     base = PointPattern(time=1, points=np.array([[1.0, 1.0]]), window=window)
     with pytest.raises(ValueError):
         MarkedPointPattern(base=base, marks=("a", "b"))
-    marked = MarkedPointPattern(base=base, marks=("hit",))
-    assert marked.active("hit").shape == (1, 2)
-    assert marked.active("none").shape == (0, 2)
 
 
 def test_series_requires_contiguous_periods():
@@ -135,21 +129,6 @@ def test_series_rejects_a_wrongly_shaped_dynamic_covariate():
         with pytest.raises(ValueError, match="dynamic covariate 'dyn'"):
             PatternSeries(grid, series.treatments, series.outcomes,
                           {"static": Raster(grid, good[0]), "dyn": bad})
-
-
-def test_count_in_region():
-    grid = build_grid(make_window(), 10, 10)
-    region = Region(polygon=np.array([[0, 0], [5, 0], [5, 5], [0, 5]], dtype=float))
-    window = grid.window
-    empty = PointPattern(time=1, points=np.zeros((0, 2)), window=window)
-    assert count_in_region(empty, region, grid) == 0
-    inside = PointPattern(time=1, points=np.array([[1.0, 1.0], [4.0, 4.0]]),
-                          window=window)
-    assert count_in_region(inside, region, grid) == 2
-    full = Region.whole_window(grid)
-    mixed = PointPattern(time=1, points=np.array([[1.0, 1.0], [9.0, 9.0]]),
-                         window=window)
-    assert count_in_region(mixed, full, grid) == 2
 
 
 def test_kernel_smooth_empty_is_zero():

@@ -228,9 +228,8 @@ def test_oracle_self_consistency_with_propensity():
     iv = InterventionPair(dgp.propensity_intervention(), L=3)
     res = mc_oracle(dgp, [], iv, 3, region, 6000, 9)
     series = simulate_series(dgp, 6000, 10)
-    from geocausal.patterns import count_in_region
-
-    counts = [count_in_region(series.outcome(t), region, dgp.grid)
+    mask = region.resolve_mask(dgp.grid).ravel()
+    counts = [np.count_nonzero(mask[series.outcome(t).cell_indices(dgp.grid)])
               for t in range(2, series.T + 1)]
     sim_mean = float(np.mean(counts))
     sim_se = float(np.std(counts, ddof=1) / math.sqrt(len(counts)))
